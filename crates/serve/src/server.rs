@@ -30,12 +30,12 @@
 
 use std::collections::BTreeMap;
 use std::io;
-use std::net::{SocketAddr, TcpListener};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use shil_circuit::analysis::{decode_final_voltages, encode_final_voltages, AtlasMap, SweepEngine};
 use shil_circuit::{CircuitError, SolveReport};
@@ -117,9 +117,7 @@ struct Job {
 
 impl Job {
     fn status(&self) -> MutexGuard<'_, JobStatus> {
-        self.status
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        self.status.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Persists the current status atomically. A persistence failure is
@@ -145,15 +143,21 @@ struct ServerInner {
     seq: AtomicU64,
     draining: AtomicBool,
     stop: AtomicBool,
-    in_flight: AtomicUsize,
+    /// Jobs a worker is running; `idle` is signalled when it drops to 0.
+    in_flight: Mutex<usize>,
+    idle: Condvar,
     cache: PrecharCache,
 }
 
 impl ServerInner {
     fn jobs(&self) -> MutexGuard<'_, BTreeMap<u64, Arc<Job>>> {
-        self.jobs
+        self.jobs.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn in_flight(&self) -> MutexGuard<'_, usize> {
+        self.in_flight
             .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     fn job(&self, id: u64) -> Option<Arc<Job>> {
@@ -166,10 +170,8 @@ impl ServerInner {
 
     fn publish_gauges(&self) {
         shil_observe::gauge_set("shil_serve_queue_depth", self.queue.len() as f64);
-        shil_observe::gauge_set(
-            "shil_serve_in_flight",
-            self.in_flight.load(Ordering::Relaxed) as f64,
-        );
+        let in_flight = *self.in_flight();
+        shil_observe::gauge_set("shil_serve_in_flight", in_flight as f64);
         shil_observe::gauge_set(
             "shil_serve_draining",
             if self.draining.load(Ordering::Relaxed) {
@@ -204,7 +206,6 @@ impl Server {
         // process-wide switch that defaults to off for library users.
         shil_observe::set_enabled(true);
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         probe_writable(&*config.storage, &config.data_dir.join("jobs"))?;
 
@@ -215,7 +216,8 @@ impl Server {
             seq: AtomicU64::new(1),
             draining: AtomicBool::new(false),
             stop: AtomicBool::new(false),
-            in_flight: AtomicUsize::new(0),
+            in_flight: Mutex::new(0),
+            idle: Condvar::new(),
             config,
         });
         recover_jobs(&inner)?;
@@ -270,11 +272,16 @@ impl Server {
     pub fn drain(&self) {
         self.inner.draining.store(true, Ordering::SeqCst);
         self.inner.publish_gauges();
-        let deadline = Instant::now() + self.inner.config.drain_grace;
-        while self.inner.in_flight.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        if self.inner.in_flight.load(Ordering::SeqCst) > 0 {
+        let busy = {
+            let in_flight = self.inner.in_flight();
+            let (in_flight, _) = self
+                .inner
+                .idle
+                .wait_timeout_while(in_flight, self.inner.config.drain_grace, |n| *n > 0)
+                .unwrap_or_else(PoisonError::into_inner);
+            *in_flight > 0
+        };
+        if busy {
             for jb in self.inner.jobs().values() {
                 if jb.status().state == JobState::Running
                     && !jb.user_cancelled.load(Ordering::SeqCst)
@@ -292,10 +299,27 @@ impl Server {
         self.drain();
         self.inner.stop.store(true, Ordering::SeqCst);
         self.inner.queue.wake_all();
+        let _wakers = self.wake_acceptors();
         for t in self.threads {
             let _ = t.join();
         }
         self.inner.publish_gauges();
+    }
+
+    /// Opens one loopback connection per HTTP thread, so every acceptor
+    /// blocked in `accept()` returns, sees `stop`, and exits. The streams
+    /// are held until the threads are joined.
+    fn wake_acceptors(&self) -> Vec<TcpStream> {
+        let mut target = self.addr;
+        if target.ip().is_unspecified() {
+            target.set_ip(match target.ip() {
+                IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        (0..self.inner.config.http_threads.max(1))
+            .filter_map(|_| TcpStream::connect_timeout(&target, Duration::from_secs(1)).ok())
+            .collect()
     }
 }
 
@@ -387,20 +411,32 @@ fn recover_jobs(inner: &Arc<ServerInner>) -> io::Result<()> {
 // HTTP front-end
 // ---------------------------------------------------------------------------
 
+/// Pause after an accept error that retrying cannot clear at once
+/// (EMFILE, ENFILE, ENOBUFS), so running out of descriptors cannot spin a
+/// core.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
+
+/// One HTTP thread: blocks in `accept()`, so a request is served the
+/// moment it arrives. [`Server::shutdown`] sets `stop` and then connects
+/// once per thread; the connection that wakes a thread after `stop` is
+/// dropped uncounted.
 fn http_loop(inner: &Arc<ServerInner>, listener: &TcpListener) {
-    while !inner.stop.load(Ordering::SeqCst) {
-        let (mut stream, _) = match listener.accept() {
-            Ok(pair) => pair,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-                continue;
-            }
-            Err(_) => {
-                std::thread::sleep(Duration::from_millis(5));
+    loop {
+        let accepted = listener.accept();
+        if inner.stop.load(Ordering::SeqCst) {
+            return;
+        }
+        let mut stream = match accepted {
+            Ok((stream, _)) => stream,
+            Err(e) => {
+                use io::ErrorKind::{ConnectionAborted, Interrupted};
+                if !matches!(e.kind(), Interrupted | ConnectionAborted) {
+                    shil_observe::incr("shil_serve_http_accept_errors_total");
+                    std::thread::sleep(ACCEPT_ERROR_BACKOFF);
+                }
                 continue;
             }
         };
-        let _ = stream.set_nonblocking(false);
         let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
         shil_observe::incr("shil_serve_http_requests_total");
         let (status, content_type, extra, body) =
@@ -653,14 +689,20 @@ fn worker_loop(inner: &Arc<ServerInner>) {
             shil_observe::incr("shil_serve_jobs_cancelled_total");
             continue;
         }
-        inner.in_flight.fetch_add(1, Ordering::SeqCst);
+        *inner.in_flight() += 1;
         inner.publish_gauges();
         // Item-level panics are isolated inside the sweep engine; this
         // guards the job-level plumbing so a worker thread never dies.
         if let Err(panic_msg) = shil_runtime::isolate(|| run_job(inner, &jb)) {
             crash_job(inner, &jb, format!("job runner panicked: {panic_msg}"));
         }
-        inner.in_flight.fetch_sub(1, Ordering::SeqCst);
+        {
+            let mut in_flight = inner.in_flight();
+            *in_flight -= 1;
+            if *in_flight == 0 {
+                inner.idle.notify_all();
+            }
+        }
         inner.publish_gauges();
     }
 }

@@ -506,3 +506,70 @@ fn atlas_jobs_map_the_tongue_and_stream_partials() {
 
     server.shutdown();
 }
+
+/// Runs `server.shutdown()` on a helper thread and fails, instead of
+/// hanging, if it has not returned within `limit`.
+fn shutdown_within(server: Server, limit: Duration, what: &str) {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        server.shutdown();
+        let _ = tx.send(());
+    });
+    rx.recv_timeout(limit)
+        .unwrap_or_else(|_| panic!("shutdown of {what} did not return within {limit:?}"));
+}
+
+#[test]
+fn shutdown_wakes_acceptors_blocked_in_accept() {
+    for http_threads in [1, 4] {
+        for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+            let tag = format!("wake-{http_threads}-{}", bind.replace(['.', ':'], "_"));
+            let server = Server::start(ServerConfig {
+                addr: bind.into(),
+                http_threads,
+                ..config(&tag)
+            })
+            .expect("start");
+            // Idle, so every acceptor is parked in `accept()`.
+            std::thread::sleep(Duration::from_millis(100));
+            shutdown_within(
+                server,
+                Duration::from_secs(2),
+                &format!("{http_threads} acceptor(s) on {bind}"),
+            );
+        }
+    }
+}
+
+#[test]
+fn drain_returns_when_the_last_running_job_finishes() {
+    // A grace far longer than the job: drain must wake when the job ends,
+    // not when the grace runs out, and the job must finish, not park.
+    let dir = temp_dir("drain-wake");
+    let server = Server::start(ServerConfig {
+        workers: 1,
+        sweep_threads: Some(1),
+        drain_grace: Duration::from_secs(60),
+        data_dir: dir.clone(),
+        ..ServerConfig::default()
+    })
+    .expect("start");
+    let addr = server.addr().to_string();
+    let id = job_id(&post(
+        &addr,
+        "/jobs",
+        &sweep_body("[0.5,1.0,1.5,2.0]", 4e-3),
+    ));
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while get(&addr, &format!("/jobs/{id}"))
+        .body
+        .contains("\"queued\"")
+    {
+        assert!(Instant::now() < deadline, "job {id} never started");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    shutdown_within(server, Duration::from_secs(30), "a server draining one job");
+    let status =
+        std::fs::read_to_string(dir.join(format!("jobs/{id}/status.json"))).expect("status");
+    assert!(status.contains("\"done\""), "{status}");
+}
