@@ -7,7 +7,12 @@
 //!   evaluation) vs the batched twiddle-table fill, serial and parallel;
 //! - a 25-point injection-frequency sweep constructing one analysis per
 //!   point, uncached vs served from a [`PrecharCache`] (the cache must
-//!   build the grid exactly once).
+//!   build the grid exactly once);
+//! - `lock_range` by the phase-track walk vs the scan + bisection oracle
+//!   it replaced ([`shil_bench::oracle`]), `solutions_at_phase` off the
+//!   track vs with a fresh isoline extraction, and a `V_i` ladder
+//!   (0.0295–0.0305 in steps of 1e-4) with each point's cost and
+//!   `|Δφ_d_max|` against the oracle.
 //!
 //! Progress goes through structured `shil-observe` events (`--quiet`
 //! silences the human rendering; `--events-out [path]` mirrors them to
@@ -24,7 +29,12 @@ use shil::core::nonlinearity::NegativeTanh;
 use shil::core::shil::{effective_parallelism, precharacterize, ShilAnalysis, ShilOptions};
 use shil::core::tank::{ParallelRlc, Tank};
 use shil::observe::RunManifest;
+use shil_bench::oracle::{scan_lock_range, WALK_ORACLE_REL_BOUND};
 use shil_bench::{obs, results_dir, timed};
+
+/// One `V_i` ladder point: `V_i`, walk and oracle median seconds, walk and
+/// oracle `φ_d_max`, walk and oracle Newton iterations.
+type LadderPoint = (f64, f64, f64, f64, f64, u64, u64);
 
 fn median_secs(reps: usize, mut f: impl FnMut()) -> f64 {
     let mut times: Vec<Duration> = (0..reps).map(|_| timed(&mut f).1).collect();
@@ -140,6 +150,110 @@ fn main() {
         ],
     );
 
+    // Lock range: walk vs oracle on the reference oscillator, then the
+    // V_i ladder. Analyses are built first, so only the queries are timed.
+    let lr_reps = 21;
+    let an = ShilAnalysis::new(&f, &tank, n, vi, opts).expect("analysis");
+    let walk_s = median_secs(lr_reps, || {
+        std::hint::black_box(an.lock_range().expect("lock range"));
+    });
+    let oracle_s = median_secs(lr_reps, || {
+        std::hint::black_box(scan_lock_range(&an, &tank).expect("oracle"));
+    });
+    let probe_phi = 0.5 * an.lock_range().expect("lock range").phi_d_max;
+    let solutions_s = median_secs(lr_reps, || {
+        std::hint::black_box(an.solutions_at_phase(probe_phi).expect("solutions"));
+    });
+    let solutions_isoline_s = median_secs(lr_reps, || {
+        std::hint::black_box(an.graphical_curves(probe_phi).expect("curves"));
+    });
+    let mut ladder = Vec::new();
+    for k in 0..=10 {
+        let vi_k = 0.0295 + 1e-4 * k as f64;
+        let an = ShilAnalysis::new(&f, &tank, n, vi_k, opts).expect("analysis");
+        // Newton iterations of the polishes per query, counted on an
+        // untimed call: the query's cost is nearly all polish work.
+        let newton_iters = |run: &dyn Fn() -> f64| {
+            const ITERS: &str = "shil_numerics_newton_iterations_total";
+            let was = shil::observe::is_enabled();
+            shil::observe::set_enabled(true);
+            let before = shil::observe::snapshot().counter(ITERS);
+            let phi_d_max = run();
+            let after = shil::observe::snapshot().counter(ITERS);
+            shil::observe::set_enabled(was);
+            (phi_d_max, after - before)
+        };
+        let (walk, walk_iters) = newton_iters(&|| an.lock_range().expect("lock range").phi_d_max);
+        let (scan, scan_iters) =
+            newton_iters(&|| scan_lock_range(&an, &tank).expect("oracle").phi_d_max);
+        let walk_s = median_secs(5, || {
+            std::hint::black_box(an.lock_range().expect("lock range"));
+        });
+        let oracle_s = median_secs(5, || {
+            std::hint::black_box(scan_lock_range(&an, &tank).expect("oracle"));
+        });
+        ladder.push((vi_k, walk_s, oracle_s, walk, scan, walk_iters, scan_iters));
+    }
+    let ratio = |col: fn(&LadderPoint) -> f64| {
+        let max = ladder.iter().map(col).fold(f64::NEG_INFINITY, f64::max);
+        let min = ladder.iter().map(col).fold(f64::INFINITY, f64::min);
+        max / min
+    };
+    let walk_ratio = ratio(|p| p.1);
+    let oracle_ratio = ratio(|p| p.2);
+    let worst_rel = ladder
+        .iter()
+        .map(|p| (p.3 - p.4).abs() / p.4)
+        .fold(0.0, f64::max);
+    assert!(
+        worst_rel <= WALK_ORACLE_REL_BOUND,
+        "walk left the oracle bound on the ladder: {worst_rel:e}"
+    );
+    log.info(
+        "lock_range_measured",
+        &[
+            ("reps", (lr_reps as u64).into()),
+            ("walk_median_s", walk_s.into()),
+            ("oracle_median_s", oracle_s.into()),
+            ("speedup", (oracle_s / walk_s).into()),
+            ("solutions_track_median_s", solutions_s.into()),
+            (
+                "solutions_with_isoline_median_s",
+                solutions_isoline_s.into(),
+            ),
+            ("ladder_walk_cost_ratio", walk_ratio.into()),
+            ("ladder_oracle_cost_ratio", oracle_ratio.into()),
+            ("ladder_worst_rel_dphi_d_max", worst_rel.into()),
+        ],
+    );
+    let ladder_json: Vec<String> = ladder
+        .iter()
+        .map(|&(vi_k, w, o, pw, po, we, oe)| {
+            format!(
+                "      {{\"vi\": {vi_k:.4}, \"walk_s\": {w:.6e}, \"oracle_s\": {o:.6e}, \
+                 \"walk_newton_iters\": {we}, \"oracle_newton_iters\": {oe}, \
+                 \"phi_d_max\": {pw:.12e}, \"abs_dphi_d_max\": {:.6e}, \
+                 \"rel_dphi_d_max\": {:.6e}}}",
+                (pw - po).abs(),
+                (pw - po).abs() / po
+            )
+        })
+        .collect();
+    let lock_range_json = format!(
+        "  \"lock_range\": {{\n    \"n\": {n},\n    \"vi\": {vi},\n    \"reps\": {lr_reps},\n    \
+         \"walk_median_s\": {walk_s:.6e},\n    \"oracle_median_s\": {oracle_s:.6e},\n    \
+         \"speedup_walk_vs_oracle\": {:.3},\n    \
+         \"solutions_track_median_s\": {solutions_s:.6e},\n    \
+         \"solutions_with_isoline_median_s\": {solutions_isoline_s:.6e},\n    \
+         \"rel_bound\": {WALK_ORACLE_REL_BOUND:e},\n    \
+         \"ladder_walk_cost_ratio\": {walk_ratio:.3},\n    \
+         \"ladder_oracle_cost_ratio\": {oracle_ratio:.3},\n    \
+         \"ladder_worst_rel_dphi_d_max\": {worst_rel:.6e},\n    \
+         \"ladder\": [\n{}\n    ]\n  }}\n",
+        oracle_s / walk_s,
+        ladder_json.join(",\n")
+    );
+
     let json = format!(
         "{{\n  \"grid\": [{}, {}],\n  \"samples_per_period\": {},\n  \"cores\": {},\n  \
          \"grid_fill_median_s\": {{\n    \"scalar_per_cell\": {:.6e},\n    \
@@ -147,7 +261,7 @@ fn main() {
          \"speedup_batched_serial_vs_scalar\": {:.3},\n  \
          \"speedup_batched_parallel_vs_scalar\": {:.3},\n  \
          \"sweep25_uncached_s\": {:.6e},\n  \"sweep25_cached_s\": {:.6e},\n  \
-         \"sweep25_cached_grid_builds\": {},\n  \"sweep25_cached_grid_hits\": {}\n}}\n",
+         \"sweep25_cached_grid_builds\": {},\n  \"sweep25_cached_grid_hits\": {},\n{}}}\n",
         opts.phase_points,
         opts.amplitude_points,
         opts.harmonics.samples,
@@ -161,6 +275,7 @@ fn main() {
         t_cached.as_secs_f64(),
         cache.grid_builds(),
         cache.grid_hits(),
+        lock_range_json,
     );
     let path = results_dir().join("BENCH_precharacterize.json");
     std::fs::write(&path, json).expect("write json");

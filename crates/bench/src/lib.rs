@@ -167,6 +167,114 @@ pub mod obs {
     }
 }
 
+/// The lock-range search `ShilAnalysis::lock_range` used before it walked
+/// the phase track, kept as a test oracle for the walk. Public API only.
+pub mod oracle {
+    use shil::core::shil::{LockRange, ShilAnalysis};
+    use shil::core::{Nonlinearity, ShilError, Tank};
+
+    /// Largest allowed `|Δφ_d_max|` between the walk and this oracle,
+    /// relative to `φ_d_max`. The oracle bisects on where the graphical
+    /// (track-resolution) intersection vanishes, which sits below the exact
+    /// fold the walk refines to by about `φ_d_max·h²/8` for a sinusoidal
+    /// `φ_d(φ)` sampled at the default grid's phase step `h = 2π/160`:
+    /// 1.9e-4. Seen up to 3.8e-4 over tanh, van der Pol and the biased
+    /// tunnel diode at `V_i` ∈ [0.01, 0.05], `n` ∈ {2, 3}.
+    pub const WALK_ORACLE_REL_BOUND: f64 = 1e-3;
+
+    /// Coarse scan steps over `φ_d ∈ (0, 0.999·π/2]`.
+    pub const SCAN_STEPS: usize = 16;
+    /// Bisection iterations between the last locked and the first unlocked
+    /// scan point.
+    pub const BISECTION_ITERS: usize = 36;
+
+    /// `(stable lock exists, any solution degraded)` at `φ_d`.
+    fn probe<N, T>(an: &ShilAnalysis<'_, N, T>, phi_d: f64) -> (bool, bool)
+    where
+        N: Nonlinearity + Sync + ?Sized,
+        T: Tank + Sync + ?Sized,
+    {
+        an.solutions_at_phase(phi_d)
+            .map(|sols| {
+                (
+                    sols.iter().any(|s| s.stable),
+                    sols.iter().any(|s| s.degraded),
+                )
+            })
+            .unwrap_or((false, false))
+    }
+
+    /// The lock range by scan plus bisection: [`SCAN_STEPS`] probes find
+    /// the first `φ_d > 0` without a stable lock, [`BISECTION_ITERS`]
+    /// probes sharpen it, and `tank`'s phase inverse maps `±φ_d_max` to
+    /// frequency. Every probe is one `solutions_at_phase` call.
+    ///
+    /// # Errors
+    ///
+    /// [`ShilError::NoLock`] when `φ_d = 0` has no stable solution, and the
+    /// tank's phase-inverse errors.
+    pub fn scan_lock_range<N, T>(
+        an: &ShilAnalysis<'_, N, T>,
+        tank: &T,
+    ) -> Result<LockRange, ShilError>
+    where
+        N: Nonlinearity + Sync + ?Sized,
+        T: Tank + Sync + ?Sized,
+    {
+        let center = an
+            .solutions_at_phase(0.0)
+            .unwrap_or_default()
+            .into_iter()
+            .filter(|s| s.stable)
+            .max_by(|a, b| a.amplitude.total_cmp(&b.amplitude))
+            .ok_or(ShilError::NoLock)?;
+        let mut degraded = center.degraded;
+        let cap = std::f64::consts::FRAC_PI_2 * 0.999;
+        let (mut lo, mut hi) = (0.0, cap);
+        let mut found_fail = false;
+        for k in 1..=SCAN_STEPS {
+            let phi = cap * k as f64 / SCAN_STEPS as f64;
+            let (ok, deg) = probe(an, phi);
+            degraded |= deg;
+            if ok {
+                lo = phi;
+            } else {
+                hi = phi;
+                found_fail = true;
+                break;
+            }
+        }
+        let phi_d_max = if found_fail {
+            for _ in 0..BISECTION_ITERS {
+                let mid = 0.5 * (lo + hi);
+                let (ok, deg) = probe(an, mid);
+                degraded |= deg;
+                if ok {
+                    lo = mid;
+                } else {
+                    hi = mid;
+                }
+            }
+            0.5 * (lo + hi)
+        } else {
+            cap
+        };
+        let lower_oscillator_hz = tank.omega_for_phase(phi_d_max)? / std::f64::consts::TAU;
+        let upper_oscillator_hz = tank.omega_for_phase(-phi_d_max)? / std::f64::consts::TAU;
+        let nf = f64::from(an.order());
+        Ok(LockRange {
+            phi_d_max,
+            lower_oscillator_hz,
+            upper_oscillator_hz,
+            lower_injection_hz: nf * lower_oscillator_hz,
+            upper_injection_hz: nf * upper_oscillator_hz,
+            injection_span_hz: nf * (upper_oscillator_hz - lower_oscillator_hz),
+            amplitude_at_center: center.amplitude,
+            degraded,
+        })
+    }
+}
+
 /// Runs `f`, returning its output and wall-clock duration.
 pub fn timed<T>(f: impl FnOnce() -> T) -> (T, std::time::Duration) {
     let t0 = Instant::now();

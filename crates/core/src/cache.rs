@@ -2,7 +2,7 @@
 //!
 //! The expensive artifacts of a [`crate::shil::ShilAnalysis`] — the natural
 //! oscillation solve and the `(φ, A)` grid pair with its `C_{T_f,1}` level
-//! set — depend only on the *value* of the oscillator (nonlinearity + tank
+//! set and phase track — depend only on the *value* of the oscillator (nonlinearity + tank
 //! parameters), the injection `(n, V_i)` and the grid/sampling options, not
 //! on which `ShilAnalysis` instance asked for them. A [`PrecharCache`]
 //! keys them by those values so that sweeps (the Tab. 1/2 frequency sweeps,
@@ -65,8 +65,8 @@ pub fn combine(parent: u64, child: u64) -> u64 {
 
 /// Everything a [`crate::shil::ShilAnalysis`] computes up front that depends
 /// only on (oscillator, `n`, `V_i`, grid spec): the natural oscillation, the
-/// sampling tables, both pre-characterization grids and the
-/// injection-frequency-invariant `C_{T_f,1}` level set.
+/// sampling tables, both pre-characterization grids, the
+/// injection-frequency-invariant `C_{T_f,1}` level set and its phase track.
 #[derive(Debug, Clone)]
 pub struct Precharacterization {
     /// The natural oscillation the grid axes were scaled from.
@@ -81,6 +81,12 @@ pub struct Precharacterization {
     pub angle_grid: Grid2,
     /// The `C_{T_f,1}` level set (independent of injection frequency).
     pub tf_unity: Vec<Polyline>,
+    /// The phase track along `C_{T_f,1}`: `phase_track[i][k]` is
+    /// `∠−I₁` evaluated exactly at vertex `k` of `tf_unity[i]`, so that
+    /// vertex is a lock solution for the tank phase `φ_d = −phase_track[i][k]`.
+    /// Lock solutions and the lock range are read off this track; one
+    /// exact `I₁` evaluation per vertex, a few KB per entry.
+    pub phase_track: Vec<Vec<f64>>,
     /// Number of grid nodes where `T_f` or `∠−I₁` evaluated non-finite.
     ///
     /// Marching squares masks the surrounding cells, so a nonzero count

@@ -216,8 +216,6 @@ mod tests {
             phase_points: 121,
             amplitude_points: 81,
             harmonics: HarmonicOptions { samples: 256 },
-            lock_range_iters: 30,
-            lock_range_scan: 16,
             ..Default::default()
         })
     }

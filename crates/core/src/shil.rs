@@ -14,24 +14,30 @@
 //! Both left-hand sides are pre-characterized on a rectangular `(φ, A)`
 //! grid. The level set `C_{T_f,1}` is extracted once with marching squares
 //! — it does **not** depend on the injection frequency, the invariance the
-//! paper exploits for cheap lock-range sweeps. For a given `ω_i`, solutions
-//! are the intersections of `C_{T_f,1}` with the isoline
-//! `C_{∠−I₁, −φ_d(ω_i)}`; each intersection is polished by a 2×2 Newton
-//! solve on the exact residuals and classified as stable or unstable from
-//! the local restoring-force field (§VI-B3). The lock range is the largest
-//! `|φ_d|` for which a stable intersection survives (§III-C, Fig. 10),
-//! found by bisection; the tank phase inverse maps it back to frequency.
+//! paper exploits for cheap lock-range sweeps. So every point `s` of
+//! `C_{T_f,1}` is a lock solution for exactly one tank phase,
+//! `φ_d(s) = −∠−I₁(s)`: the build evaluates `∠−I₁` exactly at every vertex
+//! (the *phase track*), and a query at `φ_d` reads its solutions off the
+//! track segments where `∠−I₁ + φ_d` changes sign — the intersections with
+//! the isoline `C_{∠−I₁, −φ_d}` — each polished by a 2×2 Newton solve on the
+//! exact residuals and classified as stable or unstable from the local
+//! restoring-force field (§VI-B3). The lock range (§III-C, Fig. 10) is the
+//! end of the `φ_d` image of the track's stable arcs: one walk splits the
+//! track at folds of `φ_d(s)` (saddle-node edges, `det J = 0`) and at sign
+//! changes of the Jacobian trace, and a 1-D solve on the exact equations
+//! refines the end; the tank phase inverse maps it back to frequency.
 //!
 //! Every intermediate object — grids, level sets, isolines, intersections —
 //! is exposed through [`GraphicalCurves`] so the figures of the paper can
 //! be re-rendered from this crate's output.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::f64::consts::FRAC_PI_2;
+use std::sync::Arc;
 
-use shil_numerics::contour::{marching_squares, polyline_intersections, Point, Polyline};
+use shil_numerics::contour::{marching_squares, Point, Polyline};
 use shil_numerics::fallback::{newton_with_restarts, FallbackOptions};
 use shil_numerics::newton::NewtonOptions;
+use shil_numerics::roots::brent;
 use shil_numerics::{wrap_angle, Grid2};
 use shil_runtime::Budget;
 
@@ -55,10 +61,6 @@ pub struct ShilOptions {
     pub a_max_factor: f64,
     /// Harmonic-integral sampling.
     pub harmonics: HarmonicOptions,
-    /// Bisection iterations for the lock-range boundary.
-    pub lock_range_iters: usize,
-    /// Coarse scan steps when locating the lock-range boundary.
-    pub lock_range_scan: usize,
     /// Natural-oscillation solve options (used for grid scaling).
     pub natural: NaturalOptions,
     /// Worker threads for the grid fill and related fan-out work:
@@ -80,8 +82,6 @@ impl Default for ShilOptions {
             a_min_factor: 0.05,
             a_max_factor: 1.35,
             harmonics: HarmonicOptions { samples: 256 },
-            lock_range_iters: 36,
-            lock_range_scan: 16,
             natural: NaturalOptions::default(),
             parallelism: None,
         }
@@ -111,8 +111,7 @@ fn natural_options_fingerprint(opts: &NaturalOptions) -> u64 {
 }
 
 /// Digest of the options that influence the grid pre-characterization.
-/// Excludes the lock-range iteration counts (query-time knobs) and
-/// `parallelism` (the fill is bit-identical at any thread count).
+/// Excludes `parallelism` (the fill is bit-identical at any thread count).
 fn grid_options_fingerprint(opts: &ShilOptions) -> u64 {
     cache::combine(
         cache::fingerprint(
@@ -330,16 +329,11 @@ pub struct ShilAnalysis<'a, N: ?Sized, T: ?Sized> {
     tank: &'a T,
     n: u32,
     vi: f64,
-    opts: ShilOptions,
     /// Grids, level set, natural solve and sampling tables — possibly
     /// shared with other analyses through a [`PrecharCache`].
     prechar: Arc<Precharacterization>,
     /// Resolved worker-thread count (from [`ShilOptions::parallelism`]).
     threads: usize,
-    /// Memoized `∠−I₁` isolines keyed by the level's bit pattern; repeat
-    /// queries at the same tank phase (bisections, figure sweeps) skip the
-    /// marching-squares re-extraction.
-    iso_cache: Mutex<HashMap<u64, Arc<Vec<Polyline>>>>,
 }
 
 impl<'a, N: Nonlinearity + Sync + ?Sized, T: Tank + Sync + ?Sized> ShilAnalysis<'a, N, T> {
@@ -376,10 +370,8 @@ impl<'a, N: Nonlinearity + Sync + ?Sized, T: Tank + Sync + ?Sized> ShilAnalysis<
             tank,
             n,
             vi,
-            opts,
             prechar,
             threads,
-            iso_cache: Mutex::new(HashMap::new()),
         })
     }
 
@@ -436,10 +428,8 @@ impl<'a, N: Nonlinearity + Sync + ?Sized, T: Tank + Sync + ?Sized> ShilAnalysis<
             tank,
             n,
             vi,
-            opts,
             prechar,
             threads,
-            iso_cache: Mutex::new(HashMap::new()),
         })
     }
 
@@ -521,6 +511,16 @@ impl<'a, N: Nonlinearity + Sync + ?Sized, T: Tank + Sync + ?Sized> ShilAnalysis<
             ));
         }
         let tf_unity = marching_squares(&tf_grid, 1.0)?;
+        let mut buf = table.scratch();
+        let phase_track = tf_unity
+            .iter()
+            .map(|line| {
+                line.points
+                    .iter()
+                    .map(|p| (-table.i1(nonlinearity, p.y, vi, p.x, &mut buf)).arg())
+                    .collect()
+            })
+            .collect();
         Ok(Precharacterization {
             natural,
             r,
@@ -528,6 +528,7 @@ impl<'a, N: Nonlinearity + Sync + ?Sized, T: Tank + Sync + ?Sized> ShilAnalysis<
             tf_grid,
             angle_grid,
             tf_unity,
+            phase_track,
             non_finite_cells,
         })
     }
@@ -563,18 +564,9 @@ impl<'a, N: Nonlinearity + Sync + ?Sized, T: Tank + Sync + ?Sized> ShilAnalysis<
     }
 
     /// Extracts the isoline `∠−I₁ = level` from the angle grid, masking the
-    /// wrap-around branch cut. Memoized per level (sweeps and bisections
-    /// revisit levels; the marching-squares pass runs once each).
-    fn angle_isoline(&self, level: f64) -> Result<Arc<Vec<Polyline>>, ShilError> {
-        let key = level.to_bits();
-        if let Some(hit) = self
-            .iso_cache
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .get(&key)
-        {
-            return Ok(Arc::clone(hit));
-        }
+    /// wrap-around branch cut. Only the figure accessors use it; lock
+    /// solutions come from the phase track.
+    fn angle_isoline(&self, level: f64) -> Result<Vec<Polyline>, ShilError> {
         let angle_grid = &self.prechar.angle_grid;
         let nx = angle_grid.nx();
         let ny = angle_grid.ny();
@@ -584,22 +576,11 @@ impl<'a, N: Nonlinearity + Sync + ?Sized, T: Tank + Sync + ?Sized> ShilAnalysis<
                 let d = wrap_angle(angle_grid.value(i, j) - level);
                 // Mask the half of the circle nearest the branch cut so
                 // marching squares never sees the ±π jump.
-                data.push(if d.abs() > std::f64::consts::FRAC_PI_2 {
-                    f64::NAN
-                } else {
-                    d
-                });
+                data.push(if d.abs() > FRAC_PI_2 { f64::NAN } else { d });
             }
         }
         let g = Grid2::from_data(angle_grid.xs().to_vec(), angle_grid.ys().to_vec(), data)?;
-        let iso = Arc::new(marching_squares(&g, 0.0)?);
-        Ok(Arc::clone(
-            self.iso_cache
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .entry(key)
-                .or_insert(iso),
-        ))
+        Ok(marching_squares(&g, 0.0)?)
     }
 
     /// Exact residuals of the lock equations at `(φ, A)`, batched through
@@ -622,38 +603,35 @@ impl<'a, N: Nonlinearity + Sync + ?Sized, T: Tank + Sync + ?Sized> ShilAnalysis<
         self.residuals_with(phi, a, neg_phi_d, &mut buf)
     }
 
-    /// Effective loop gain `T_F` (paper eq. 5) at `(φ, A)` for tank phase
-    /// `φ_d` — the quantity whose excess over 1 drives amplitude growth.
-    fn t_f_gain(&self, phi: f64, a: f64, phi_d: f64, buf: &mut Vec<f64>) -> f64 {
-        let i1 = self
-            .prechar
-            .table
-            .i1(self.nonlinearity, a, self.vi, phi, buf);
-        self.prechar.r * i1.abs() * phi_d.cos().abs() / (a / 2.0)
-    }
-
     /// Classifies the stability of a refined solution from the local
     /// restoring-force field (§VI-B3).
     ///
-    /// Perturbation dynamics: `dA/dt ∝ (T_F − 1)·A` and
+    /// Perturbation dynamics: `dA/dt ∝ (T_F − 1)·A`, with the effective
+    /// loop gain `T_F = R·|I₁|·|cos φ_d| / (A/2)` (paper eq. 5), and
     /// `dφ/dt ∝ −(∠−I₁ + φ_d)`. The solution is stable iff the 2×2
     /// Jacobian of this field has positive determinant and negative trace.
+    /// Central differences; each of the four stencil points costs one exact
+    /// `I₁` evaluation, which yields both fields.
     fn classify(&self, phi: f64, a: f64, phi_d: f64) -> (bool, f64, f64) {
         let ha = 1e-5 * self.prechar.natural.amplitude;
         let hp = 1e-5;
         let mut buf = self.prechar.table.scratch();
-        let mut gain = |p: f64, aa: f64| self.t_f_gain(p, aa, phi_d, &mut buf) - 1.0;
-        let dga = (gain(phi, a + ha) - gain(phi, a - ha)) / (2.0 * ha);
-        let dgp = (gain(phi + hp, a) - gain(phi - hp, a)) / (2.0 * hp);
-        let mut pha = |p: f64, aa: f64| {
+        let mut field = |p: f64, aa: f64| {
             let i1 = self
                 .prechar
                 .table
                 .i1(self.nonlinearity, aa, self.vi, p, &mut buf);
-            wrap_angle((-i1).arg() + phi_d)
+            let gain = self.prechar.r * i1.abs() * phi_d.cos().abs() / (aa / 2.0) - 1.0;
+            (gain, wrap_angle((-i1).arg() + phi_d))
         };
-        let dpa = (pha(phi, a + ha) - pha(phi, a - ha)) / (2.0 * ha);
-        let dpp = (pha(phi + hp, a) - pha(phi - hp, a)) / (2.0 * hp);
+        let (ga_hi, pa_hi) = field(phi, a + ha);
+        let (ga_lo, pa_lo) = field(phi, a - ha);
+        let (gp_hi, pp_hi) = field(phi + hp, a);
+        let (gp_lo, pp_lo) = field(phi - hp, a);
+        let dga = (ga_hi - ga_lo) / (2.0 * ha);
+        let dgp = (gp_hi - gp_lo) / (2.0 * hp);
+        let dpa = (pa_hi - pa_lo) / (2.0 * ha);
+        let dpp = (pp_hi - pp_lo) / (2.0 * hp);
         // J = [[∂Ȧ/∂A, ∂Ȧ/∂φ], [∂φ̇/∂A, ∂φ̇/∂φ]] with Ȧ = (T_F−1)A, φ̇ = −(∠−I₁+φ_d).
         let j11 = dga * a;
         let j12 = dgp * a;
@@ -664,6 +642,54 @@ impl<'a, N: Nonlinearity + Sync + ?Sized, T: Tank + Sync + ?Sized> ShilAnalysis<
         (det > 0.0 && trace < 0.0, det, trace)
     }
 
+    /// The graphical intersections of `C_{T_f,1}` with the isoline
+    /// `∠−I₁ = −φ_d`, read off the phase track: a track segment on which
+    /// `wrap(∠−I₁ + φ_d)` changes sign holds one, at the linearly
+    /// interpolated point. Segments with an end in the half-circle nearest
+    /// the branch cut (`|·| > π/2`) are skipped — the rule the isoline mask
+    /// of [`Self::graphical_curves`] applies. Each hit carries its
+    /// `(polyline, segment)` index.
+    fn track_crossings(&self, phi_d: f64) -> Vec<(Point, TrackSegment)> {
+        // Offsets within 1e-12 rad of the level count as on it, and zeros as
+        // positive (as in marching squares): the seam vertices at φ = 0 and
+        // φ = 2π are one point of the periodic curve, and rounding can give
+        // them opposite signs when the isoline passes through that point.
+        let offset = |theta: f64| {
+            let d = wrap_angle(theta + phi_d);
+            if d.abs() <= 1e-12 {
+                0.0
+            } else {
+                d
+            }
+        };
+        let mut hits = Vec::new();
+        for (i, (line, theta)) in self
+            .prechar
+            .tf_unity
+            .iter()
+            .zip(&self.prechar.phase_track)
+            .enumerate()
+        {
+            for (k, (pts, th)) in line.points.windows(2).zip(theta.windows(2)).enumerate() {
+                let (d0, d1) = (offset(th[0]), offset(th[1]));
+                // NaN fails the comparison and is skipped with the cut.
+                if !(d0.abs() <= FRAC_PI_2 && d1.abs() <= FRAC_PI_2) {
+                    continue;
+                }
+                if (d0 >= 0.0) == (d1 >= 0.0) {
+                    continue;
+                }
+                let t = d0 / (d0 - d1);
+                let p = Point::new(
+                    pts[0].x + t * (pts[1].x - pts[0].x),
+                    pts[0].y + t * (pts[1].y - pts[0].y),
+                );
+                hits.push((p, (i, k)));
+            }
+        }
+        hits
+    }
+
     /// All lock solutions at a given tank phase `φ_d` (radians), over the
     /// full `φ ∈ [0, 2π)` plane — so each physical lock appears with all of
     /// its `n` state copies (§VI-B4).
@@ -672,18 +698,29 @@ impl<'a, N: Nonlinearity + Sync + ?Sized, T: Tank + Sync + ?Sized> ShilAnalysis<
     ///
     /// - [`ShilError::InvalidParameter`] if `|φ_d| ≥ π/2`.
     pub fn solutions_at_phase(&self, phi_d: f64) -> Result<Vec<ShilSolution>, ShilError> {
+        Ok(self
+            .solutions_on_track(phi_d)?
+            .into_iter()
+            .map(|(s, _)| s)
+            .collect())
+    }
+
+    /// [`Self::solutions_at_phase`], each solution tagged with the
+    /// `(polyline, segment)` of the track crossing it was polished from.
+    fn solutions_on_track(
+        &self,
+        phi_d: f64,
+    ) -> Result<Vec<(ShilSolution, TrackSegment)>, ShilError> {
         // The explicit NaN branch matters: NaN sails through a plain `>=`
-        // comparison and would poison the isoline level.
-        if phi_d.is_nan() || phi_d.abs() >= std::f64::consts::FRAC_PI_2 {
+        // comparison and would poison every crossing test.
+        if phi_d.is_nan() || phi_d.abs() >= FRAC_PI_2 {
             return Err(ShilError::InvalidParameter(format!(
                 "tank phase must lie in (−π/2, π/2), got {phi_d}"
             )));
         }
         let neg_phi_d = -phi_d;
-        let isoline = self.angle_isoline(neg_phi_d)?;
-        let tf_grid = &self.prechar.tf_grid;
-        let merge_tol = 1e-3 * (tf_grid.ys()[tf_grid.ny() - 1]);
-        let raw = polyline_intersections(&self.prechar.tf_unity, &isoline, merge_tol);
+        let (raw, segments): (Vec<Point>, Vec<TrackSegment>) =
+            self.track_crossings(phi_d).into_iter().unzip();
 
         // Newton-polish every graphical intersection (parallel when the
         // analysis has workers), then dedup + classify serially in the
@@ -694,15 +731,15 @@ impl<'a, N: Nonlinearity + Sync + ?Sized, T: Tank + Sync + ?Sized> ShilAnalysis<
         // missing; anything we do find is at best grid-accurate.
         let grid_degraded = self.prechar.non_finite_cells > 0;
 
-        let mut solutions: Vec<ShilSolution> = Vec::new();
-        for refined in refined {
+        let mut solutions: Vec<(ShilSolution, TrackSegment)> = Vec::new();
+        for (refined, segment) in refined.into_iter().zip(segments) {
             let (phi, a, fell_back) = match refined {
                 Some(pa) => pa,
                 None => continue,
             };
             let phi_wrapped = wrap_angle(phi);
-            // Deduplicate (graphical intersections can converge together).
-            let dup = solutions.iter().any(|s| {
+            // Deduplicate (neighboring crossings can converge together).
+            let dup = solutions.iter().any(|(s, _)| {
                 shil_numerics::angle_diff(s.phase, phi_wrapped).abs() < 1e-4
                     && (s.amplitude - a).abs() < 1e-6 * self.prechar.natural.amplitude.max(1.0)
             });
@@ -714,16 +751,17 @@ impl<'a, N: Nonlinearity + Sync + ?Sized, T: Tank + Sync + ?Sized> ShilAnalysis<
             // edges): report the solution as unstable and degraded rather
             // than leaking NaN into user-facing fields.
             let classify_poisoned = !det.is_finite() || !trace.is_finite();
-            solutions.push(ShilSolution {
+            let solution = ShilSolution {
                 amplitude: a,
                 phase: phi_wrapped,
                 stable: stable && !classify_poisoned,
                 jacobian_det: if classify_poisoned { 0.0 } else { det },
                 jacobian_trace: if classify_poisoned { 0.0 } else { trace },
                 degraded: fell_back || classify_poisoned || grid_degraded,
-            });
+            };
+            solutions.push((solution, segment));
         }
-        solutions.sort_by(|a, b| a.phase.total_cmp(&b.phase));
+        solutions.sort_by(|a, b| a.0.phase.total_cmp(&b.0.phase));
         Ok(solutions)
     }
 
@@ -858,7 +896,7 @@ impl<'a, N: Nonlinearity + Sync + ?Sized, T: Tank + Sync + ?Sized> ShilAnalysis<
         Ok(GraphicalCurves {
             neg_phi_d: -phi_d,
             tf_unity: self.prechar.tf_unity.clone(),
-            angle_isoline: self.angle_isoline(-phi_d)?.as_ref().clone(),
+            angle_isoline: self.angle_isoline(-phi_d)?,
             solutions,
         })
     }
@@ -871,7 +909,7 @@ impl<'a, N: Nonlinearity + Sync + ?Sized, T: Tank + Sync + ?Sized> ShilAnalysis<
     pub fn angle_isolines(&self, levels: &[f64]) -> Result<Vec<(f64, Vec<Polyline>)>, ShilError> {
         levels
             .iter()
-            .map(|&lv| Ok((lv, self.angle_isoline(lv)?.as_ref().clone())))
+            .map(|&lv| Ok((lv, self.angle_isoline(lv)?)))
             .collect()
     }
 
@@ -891,14 +929,9 @@ impl<'a, N: Nonlinearity + Sync + ?Sized, T: Tank + Sync + ?Sized> ShilAnalysis<
             .collect()
     }
 
-    /// Whether a stable lock exists at tank phase `φ_d`.
-    fn has_stable_lock(&self, phi_d: f64) -> bool {
-        self.stable_lock_probe(phi_d).0
-    }
-
     /// `(stable lock exists, any solution was degraded)` at `φ_d` — the
-    /// lock-range search needs both, so the boundary it reports can carry
-    /// the degradation of the solutions it was derived from.
+    /// lock range's confirmation probes need both, so the boundary it
+    /// reports can carry the degradation of the solutions it consulted.
     fn stable_lock_probe(&self, phi_d: f64) -> (bool, bool) {
         shil_observe::incr("shil_core_lock_probes_total");
         self.solutions_at_phase(phi_d)
@@ -911,13 +944,218 @@ impl<'a, N: Nonlinearity + Sync + ?Sized, T: Tank + Sync + ?Sized> ShilAnalysis<
             .unwrap_or((false, false))
     }
 
-    /// Predicts the lock range (paper §III-C, Fig. 10; validated against
-    /// Tables 1–2).
+    /// Grid estimate of the §VI-B3 Jacobian trace at a point `p` of
+    /// `C_{T_f,1}` whose exact `∠−I₁` is `theta`, at no `I₁` evaluation.
     ///
-    /// A coarse scan locates the loss-of-lock boundary in `φ_d ∈ [0, π/2)`,
-    /// bisection sharpens it, and the tank phase inverse maps the boundary
-    /// back to the oscillator and injection frequencies. By the reflection
-    /// symmetry of §VI-B3 the range is symmetric in `±φ_d`.
+    /// On the curve `φ_d = −θ`, so the trace is `A·cos θ·∂G/∂A − ∂θ/∂φ`
+    /// with `G = R·|I₁|/(A/2) = T_f / cos(∠−I₁)`; both partials come from
+    /// the bilinear interpolant of the grid cell holding `p`. The estimate
+    /// only places arc splits: arc stability and the refined lock-range end
+    /// come from the exact equations.
+    fn trace_estimate(&self, p: Point, theta: f64) -> f64 {
+        let (tf, ang) = (&self.prechar.tf_grid, &self.prechar.angle_grid);
+        let cell = |v: f64, axis: &[f64]| {
+            let h = (axis[axis.len() - 1] - axis[0]) / (axis.len() - 1) as f64;
+            let i = (((v - axis[0]) / h).floor().max(0.0) as usize).min(axis.len() - 2);
+            (i, ((v - axis[i]) / h).clamp(0.0, 1.0), h)
+        };
+        let (i, tx, dx) = cell(p.x, tf.xs());
+        let (j, ty, da) = cell(p.y, tf.ys());
+        let g = |i: usize, j: usize| tf.value(i, j) / ang.value(i, j).cos();
+        let dg_da =
+            ((g(i, j + 1) - g(i, j)) * (1.0 - tx) + (g(i + 1, j + 1) - g(i + 1, j)) * tx) / da;
+        let dth_dphi = (wrap_angle(ang.value(i + 1, j) - ang.value(i, j)) * (1.0 - ty)
+            + wrap_angle(ang.value(i + 1, j + 1) - ang.value(i, j + 1)) * ty)
+            / dx;
+        p.y * theta.cos() * dg_da - dth_dphi
+    }
+
+    /// Splits the phase track into [`TrackArc`]s: maximal runs of vertices
+    /// with `|φ_d| < π/2`, cut at every local extremum of `φ_d` (a fold,
+    /// where `det J = 0`) and at every sign change of
+    /// [`Self::trace_estimate`]. Neighboring arcs share their cut vertex,
+    /// so their `φ_d` images touch.
+    fn track_arcs(&self) -> Vec<TrackArc> {
+        let mut arcs = Vec::new();
+        for (line, (poly, theta)) in self
+            .prechar
+            .tf_unity
+            .iter()
+            .zip(&self.prechar.phase_track)
+            .enumerate()
+        {
+            let phi_d = |k: usize| -theta[k];
+            // NaN fails the comparison: non-finite vertices end a run.
+            let valid = |k: usize| phi_d(k).abs() < FRAC_PI_2;
+            let trace: Vec<f64> = poly
+                .points
+                .iter()
+                .zip(theta)
+                .map(|(p, &t)| self.trace_estimate(*p, t))
+                .collect();
+            let mut k = 0;
+            while k < theta.len() {
+                if !valid(k) {
+                    k += 1;
+                    continue;
+                }
+                let (mut first, mut first_end, mut dir) = (k, ArcEnd::Open, 0.0);
+                let mut j = k + 1;
+                while j < theta.len() && valid(j) {
+                    let step = phi_d(j) - phi_d(j - 1);
+                    let turn = dir != 0.0 && step != 0.0 && step.signum() != dir;
+                    let flip = trace[j - 1] * trace[j] < 0.0;
+                    if (turn || flip) && j - 1 > first {
+                        let end = if turn { ArcEnd::Fold } else { ArcEnd::Trace };
+                        arcs.push(TrackArc::new(line, first, j - 1, [first_end, end], theta));
+                        (first, first_end, dir) = (j - 1, end, 0.0);
+                    }
+                    if dir == 0.0 && step != 0.0 {
+                        dir = step.signum();
+                    }
+                    j += 1;
+                }
+                arcs.push(TrackArc::new(
+                    line,
+                    first,
+                    j - 1,
+                    [first_end, ArcEnd::Open],
+                    theta,
+                ));
+                k = j;
+            }
+        }
+        arcs
+    }
+
+    /// Exact stability of an arc, classified at its middle (a vertex, or the
+    /// midpoint of the middle segment): the point farthest from the folds
+    /// at its ends, where `det J` vanishes.
+    fn arc_is_stable(&self, arc: &TrackArc) -> bool {
+        let pts = &self.prechar.tf_unity[arc.line].points;
+        let theta = &self.prechar.phase_track[arc.line];
+        let m = (arc.first + arc.last) / 2;
+        let (p, th) = if (arc.last - arc.first) % 2 == 1 {
+            (
+                Point::new(
+                    0.5 * (pts[m].x + pts[m + 1].x),
+                    0.5 * (pts[m].y + pts[m + 1].y),
+                ),
+                theta[m] + 0.5 * wrap_angle(theta[m + 1] - theta[m]),
+            )
+        } else {
+            (pts[m], theta[m])
+        };
+        let (stable, det, trace) = self.classify(p.x, p.y, -th);
+        stable && det.is_finite() && trace.is_finite()
+    }
+
+    /// Projects `(φ, a_guess)` onto the exact `T_f = 1` along `A` by secant
+    /// iterations (one `I₁` evaluation each). Returns `(A, ∠−I₁)` at the
+    /// projected point, or `None` if the iteration breaks down.
+    fn project_to_unity(&self, phi: f64, a_guess: f64, buf: &mut Vec<f64>) -> Option<(f64, f64)> {
+        let mut eval = |a: f64| {
+            let i1 = self
+                .prechar
+                .table
+                .i1(self.nonlinearity, a, self.vi, phi, buf);
+            (-self.prechar.r * i1.re / (a / 2.0) - 1.0, (-i1).arg())
+        };
+        let mut a_prev = a_guess * (1.0 + 1e-6);
+        let mut r_prev = eval(a_prev).0;
+        let mut a = a_guess;
+        for _ in 0..30 {
+            let (r, theta) = eval(a);
+            if !(r.is_finite() && a > 0.0) {
+                return None;
+            }
+            let step = r * (a - a_prev) / (r - r_prev);
+            if r.abs() < 1e-13 || step.abs() <= 1e-15 * a {
+                return Some((a, theta));
+            }
+            if !step.is_finite() {
+                return None;
+            }
+            (a_prev, r_prev) = (a, r);
+            a -= step;
+        }
+        None
+    }
+
+    /// Refines a fold end of the lock range: the maximum of `φ_d` along the
+    /// exact `C_{T_f,1}` for `φ` within one grid cell of track vertex `k`,
+    /// with `A` projected onto `T_f = 1` at every trial `φ`. `I₁` is
+    /// `2π`-periodic in `φ`, so a fold at the `φ = 0 ≡ 2π` seam needs no
+    /// special case.
+    fn refine_fold(&self, line: usize, k: usize) -> Option<f64> {
+        let p = self.prechar.tf_unity[line].points[k];
+        let dx = self.cell_width();
+        let mut buf = self.prechar.table.scratch();
+        let mut a_guess = p.y;
+        let (_, neg) = minimize(
+            |phi| match self.project_to_unity(phi, a_guess, &mut buf) {
+                Some((a, theta)) => {
+                    a_guess = a;
+                    theta
+                }
+                None => f64::INFINITY,
+            },
+            p.x - dx,
+            p.x + dx,
+            1e-9,
+            60,
+        );
+        neg.is_finite().then_some(-neg)
+    }
+
+    /// Refines a trace end of the lock range: the root of the exact §VI-B3
+    /// trace along the exact `C_{T_f,1}`, bracketed within one grid cell of
+    /// track vertex `k`. Returns `φ_d` at the root.
+    fn refine_trace(&self, line: usize, k: usize) -> Option<f64> {
+        let p = self.prechar.tf_unity[line].points[k];
+        let dx = self.cell_width();
+        let mut buf = self.prechar.table.scratch();
+        let mut on_curve = |phi: f64| self.project_to_unity(phi, p.y, &mut buf);
+        let mut trace = |phi: f64| match on_curve(phi) {
+            Some((a, theta)) => self.classify(phi, a, -theta).2,
+            None => f64::NAN,
+        };
+        let root = brent(&mut trace, p.x - dx, p.x + dx, 1e-10, 100).ok()?;
+        on_curve(root).map(|(_, theta)| -theta)
+    }
+
+    /// Phase-axis spacing of the pre-characterization grid.
+    fn cell_width(&self) -> f64 {
+        let xs = self.prechar.tf_grid.xs();
+        (xs[xs.len() - 1] - xs[0]) / (xs.len() - 1) as f64
+    }
+
+    /// Predicts the lock range (paper §III-C, Fig. 10; validated against
+    /// Tables 1–2) from one walk along the phase track.
+    ///
+    /// 1. The stable solution at `φ_d = 0` (largest amplitude) must exist,
+    ///    else [`ShilError::NoLock`]; its track segment seeds the walk.
+    /// 2. The track is split into arcs at folds of `φ_d(s)` and at sign
+    ///    changes of the trace ([`Self::track_arcs`]); each arc whose image
+    ///    reaches above 0 is classified exactly at one point.
+    /// 3. `φ_d_max` is the supremum of the connected component containing
+    ///    0 of the union of the stable arcs' `φ_d` images, capped at
+    ///    `0.999·π/2`.
+    /// 4. A 1-D solve on the exact equations refines that end: the maximum
+    ///    of `φ_d` at a fold, the root of the trace at a stability change.
+    /// 5. Two [`Self::solutions_at_phase`] probes at `φ_d_max ∓ δ` confirm
+    ///    it: a stable lock inside, none outside. `δ` is the `φ_d` drop
+    ///    from the refined end to the lower of the end vertex's two track
+    ///    neighbors — one track segment, so the inner probe's crossings sit
+    ///    at least a segment from the fold, where the track resolves them —
+    ///    and at least twice the gap between the refined end and the end
+    ///    vertex itself.
+    ///
+    /// The tank phase inverse maps `±φ_d_max` back to the oscillator and
+    /// injection frequencies; by the reflection symmetry of §VI-B3 the
+    /// range is symmetric in `±φ_d`. The range is flagged
+    /// [`LockRange::degraded`] when a consulted solution was degraded, the
+    /// end could not be refined, or a confirmation probe disagreed.
     ///
     /// # Errors
     ///
@@ -925,79 +1163,71 @@ impl<'a, N: Nonlinearity + Sync + ?Sized, T: Tank + Sync + ?Sized> ShilAnalysis<
     ///   solution.
     pub fn lock_range(&self) -> Result<LockRange, ShilError> {
         let _span = shil_observe::span("shil_core_lock_range");
-        if !self.has_stable_lock(0.0) {
-            return Err(ShilError::NoLock);
-        }
-        let center = self
-            .solutions_at_phase(0.0)?
+        let (center, (seed_line, seed_seg)) = self
+            .solutions_on_track(0.0)?
             .into_iter()
-            .filter(|s| s.stable)
-            .max_by(|a, b| a.amplitude.total_cmp(&b.amplitude))
+            .filter(|(s, _)| s.stable)
+            .max_by(|a, b| a.0.amplitude.total_cmp(&b.0.amplitude))
             .ok_or(ShilError::NoLock)?;
         let mut degraded = center.degraded;
 
-        // Coarse forward scan for the first failing phase. With workers
-        // available, evaluate every scan point concurrently and then derive
-        // the bracket from the *first* failure — the same (lo, hi) the
-        // serial early-exit scan produces.
-        let cap = std::f64::consts::FRAC_PI_2 * 0.999;
-        let steps = self.opts.lock_range_scan.max(4);
-        let scan_phis: Vec<f64> = (1..=steps).map(|k| cap * k as f64 / steps as f64).collect();
-        let locked: Vec<(bool, bool)> = if self.threads <= 1 {
-            let mut flags = Vec::with_capacity(steps);
-            for &phi in &scan_phis {
-                let probe = self.stable_lock_probe(phi);
-                flags.push(probe);
-                if !probe.0 {
-                    break;
-                }
-            }
-            flags
-        } else {
-            let mut flags = vec![(false, false); steps];
-            let per = steps.div_ceil(self.threads);
-            std::thread::scope(|scope| {
-                for (phis, out) in scan_phis.chunks(per).zip(flags.chunks_mut(per)) {
-                    scope.spawn(move || {
-                        for (&phi, slot) in phis.iter().zip(out.iter_mut()) {
-                            *slot = self.stable_lock_probe(phi);
-                        }
-                    });
-                }
-            });
-            flags
-        };
-        let mut lo = 0.0;
-        let mut hi = cap;
-        let mut found_fail = false;
-        for (k, &(ok, deg)) in locked.iter().enumerate() {
-            degraded |= deg;
-            if ok {
-                lo = scan_phis[k];
-            } else {
-                hi = scan_phis[k];
-                found_fail = true;
-                break;
+        // The arc through the center lock seeds the component; an arc
+        // classification that disagrees with the center solve degrades it.
+        // Arcs entirely below 0 cannot extend the component and are not
+        // classified.
+        let arcs = self.track_arcs();
+        let seed = arcs
+            .iter()
+            .position(|a| a.line == seed_line && a.first <= seed_seg && seed_seg < a.last)
+            .ok_or(ShilError::NoLock)?;
+        let stable: Vec<bool> = arcs
+            .iter()
+            .enumerate()
+            .map(|(i, arc)| (arc.hi > 0.0 || i == seed) && self.arc_is_stable(arc))
+            .collect();
+        degraded |= !stable[seed];
+        let mut top = seed;
+        loop {
+            let hi = arcs[top].hi;
+            match (0..arcs.len())
+                .filter(|&i| stable[i] && arcs[i].lo <= hi + 1e-12 && arcs[i].hi > hi)
+                .max_by(|&i, &j| arcs[i].hi.total_cmp(&arcs[j].hi))
+            {
+                Some(next) => top = next,
+                None => break,
             }
         }
-        let phi_d_max = if found_fail {
-            // Bisection between the last success and the first failure.
-            let mut lo = lo;
-            let mut hi = hi;
-            for _ in 0..self.opts.lock_range_iters {
-                let mid = 0.5 * (lo + hi);
-                let (ok, deg) = self.stable_lock_probe(mid);
-                degraded |= deg;
-                if ok {
-                    lo = mid;
-                } else {
-                    hi = mid;
-                }
-            }
-            0.5 * (lo + hi)
-        } else {
+
+        let cap = FRAC_PI_2 * 0.999;
+        let arc = &arcs[top];
+        let (k, end) = arc.top();
+        let phi_d_max = if arc.hi >= cap {
             cap
+        } else {
+            let refined = match end {
+                ArcEnd::Trace => self.refine_trace(arc.line, k),
+                ArcEnd::Fold | ArcEnd::Open => self.refine_fold(arc.line, k),
+            };
+            degraded |= refined.is_none();
+            refined.unwrap_or(arc.hi).clamp(0.0, cap)
         };
+
+        // Confirmation probes one track segment inside and outside.
+        let theta = &self.prechar.phase_track[arc.line];
+        let vertex_gap = (phi_d_max + theta[k]).abs();
+        let delta = [k.wrapping_sub(1), k + 1]
+            .into_iter()
+            .filter_map(|j| theta.get(j).filter(|t| t.abs() < FRAC_PI_2))
+            .map(|t| phi_d_max + t)
+            .fold(2.0 * vertex_gap, f64::max)
+            .max(1e-12);
+        let (inside, inside_degraded) = self.stable_lock_probe((phi_d_max - delta).max(0.0));
+        let (outside, outside_degraded) = if phi_d_max + delta < FRAC_PI_2 {
+            self.stable_lock_probe(phi_d_max + delta)
+        } else {
+            (false, false)
+        };
+        degraded |= !inside || outside || inside_degraded || outside_degraded;
 
         // φ_d > 0 ⇒ below resonance; the ± pair gives the two edges.
         let w_lo = self.tank.omega_for_phase(phi_d_max)?;
@@ -1018,6 +1248,139 @@ impl<'a, N: Nonlinearity + Sync + ?Sized, T: Tank + Sync + ?Sized> ShilAnalysis<
     }
 }
 
+/// `(polyline, segment)`: segment `k` of `C_{T_f,1}` polyline `i` joins its
+/// vertices `k` and `k + 1`.
+type TrackSegment = (usize, usize);
+
+/// How a [`TrackArc`] ends.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ArcEnd {
+    /// At a local extremum of `φ_d` (a saddle-node fold).
+    Fold,
+    /// At a sign change of the estimated trace (a stability change).
+    Trace,
+    /// At the end of a polyline or of the `|φ_d| < π/2` run.
+    Open,
+}
+
+/// Vertices `first..=last` of `C_{T_f,1}` polyline `line`, on which `φ_d`
+/// is monotone and the estimated trace keeps its sign.
+#[derive(Debug, Clone, Copy)]
+struct TrackArc {
+    line: usize,
+    first: usize,
+    last: usize,
+    /// How the arc ends at `first` and at `last`.
+    ends: [ArcEnd; 2],
+    /// The `φ_d` image of the arc's vertices, `[lo, hi]`.
+    lo: f64,
+    hi: f64,
+    /// Whether `hi` is attained at `last` (else at `first`).
+    rising: bool,
+}
+
+impl TrackArc {
+    fn new(line: usize, first: usize, last: usize, ends: [ArcEnd; 2], theta: &[f64]) -> Self {
+        let (a, b) = (-theta[first], -theta[last]);
+        TrackArc {
+            line,
+            first,
+            last,
+            ends,
+            lo: a.min(b),
+            hi: a.max(b),
+            rising: b > a,
+        }
+    }
+
+    /// The vertex where the arc's image attains `hi`, and how it ends there.
+    fn top(&self) -> (usize, ArcEnd) {
+        if self.rising {
+            (self.last, self.ends[1])
+        } else {
+            (self.first, self.ends[0])
+        }
+    }
+}
+
+/// Brent's minimizer: golden-section steps with parabolic interpolation,
+/// to absolute tolerance `tol` in `x`, within `[a, b]`. Returns
+/// `(x_min, f(x_min))`.
+fn minimize(
+    mut f: impl FnMut(f64) -> f64,
+    mut a: f64,
+    mut b: f64,
+    tol: f64,
+    max_iter: usize,
+) -> (f64, f64) {
+    const GOLDEN: f64 = 0.381_966_011_250_105_1; // (3 − √5)/2
+    let mut x = a + GOLDEN * (b - a);
+    let (mut w, mut v) = (x, x);
+    let mut fx = f(x);
+    let (mut fw, mut fv) = (fx, fx);
+    let (mut d, mut e) = (0.0f64, 0.0f64);
+    for _ in 0..max_iter {
+        let m = 0.5 * (a + b);
+        let tol1 = 1e-10 * x.abs() + tol;
+        let tol2 = 2.0 * tol1;
+        if (x - m).abs() <= tol2 - 0.5 * (b - a) {
+            break;
+        }
+        let mut parabolic = false;
+        if e.abs() > tol1 {
+            let r = (x - w) * (fx - fv);
+            let mut q = (x - v) * (fx - fw);
+            let mut p = (x - v) * q - (x - w) * r;
+            q = 2.0 * (q - r);
+            if q > 0.0 {
+                p = -p;
+            } else {
+                q = -q;
+            }
+            let e_prev = e;
+            e = d;
+            if p.abs() < (0.5 * q * e_prev).abs() && p > q * (a - x) && p < q * (b - x) {
+                d = p / q;
+                let u = x + d;
+                if u - a < tol2 || b - u < tol2 {
+                    d = if x < m { tol1 } else { -tol1 };
+                }
+                parabolic = true;
+            }
+        }
+        if !parabolic {
+            e = if x < m { b - x } else { a - x };
+            d = GOLDEN * e;
+        }
+        let u = if d.abs() >= tol1 {
+            x + d
+        } else {
+            x + tol1.copysign(d)
+        };
+        let fu = f(u);
+        if fu <= fx {
+            if u < x {
+                b = x;
+            } else {
+                a = x;
+            }
+            (v, fv, w, fw, x, fx) = (w, fw, x, fx, u, fu);
+        } else {
+            if u < x {
+                a = u;
+            } else {
+                b = u;
+            }
+            if fu <= fw || w == x {
+                (v, fv, w, fw) = (w, fw, u, fu);
+            } else if fu <= fv || v == x || v == w {
+                (v, fv) = (u, fu);
+            }
+        }
+    }
+    (x, fx)
+}
+
 impl<N: ?Sized, T: ?Sized> std::fmt::Debug for ShilAnalysis<'_, N, T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShilAnalysis")
@@ -1036,8 +1399,11 @@ impl<N: ?Sized, T: ?Sized> std::fmt::Debug for ShilAnalysis<'_, N, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::nonlinearity::NegativeTanh;
+    use crate::nonlinearity::{NegativeTanh, Polynomial, TunnelDiode};
     use crate::tank::ParallelRlc;
+    use proptest::prelude::*;
+    use shil_numerics::angle_diff;
+    use shil_numerics::contour::polyline_intersections;
 
     fn setup() -> (NegativeTanh, ParallelRlc) {
         (
@@ -1051,8 +1417,6 @@ mod tests {
             phase_points: 121,
             amplitude_points: 81,
             harmonics: HarmonicOptions { samples: 256 },
-            lock_range_iters: 30,
-            lock_range_scan: 16,
             ..Default::default()
         }
     }
@@ -1206,8 +1570,8 @@ mod tests {
         );
         assert!(lr.amplitude_at_center > 0.0);
         // Locking inside the range, no stable lock outside.
-        assert!(an.has_stable_lock(0.5 * lr.phi_d_max));
-        assert!(!an.has_stable_lock((1.05 * lr.phi_d_max).min(1.5)));
+        assert!(an.stable_lock_probe(0.5 * lr.phi_d_max).0);
+        assert!(!an.stable_lock_probe((1.05 * lr.phi_d_max).min(1.5)).0);
     }
 
     #[test]
@@ -1339,5 +1703,147 @@ mod tests {
         // The zero isoline exists (locks at resonance).
         let zero = iso.iter().find(|(l, _)| *l == 0.0).expect("level 0");
         assert!(!zero.1.is_empty());
+    }
+
+    #[test]
+    fn track_splits_at_the_two_folds_into_one_stable_arc() {
+        // The odd tanh element: `φ_d(s)` along `C_{T_f,1}` swings once
+        // through ±φ_d_max, so the track has two folds; the arc between
+        // them through the stable lock at φ = π is the only stable one,
+        // and its image is symmetric about 0.
+        let (f, t) = setup();
+        let an = ShilAnalysis::new(&f, &t, 3, 0.03, fast_opts()).unwrap();
+        let arcs = an.track_arcs();
+        let stable: Vec<&TrackArc> = arcs.iter().filter(|a| an.arc_is_stable(a)).collect();
+        assert_eq!(stable.len(), 1, "{arcs:?}");
+        let arc = stable[0];
+        assert_eq!(arc.ends, [ArcEnd::Fold, ArcEnd::Fold], "{arc:?}");
+        assert!((arc.hi + arc.lo).abs() < 1e-3 * arc.hi, "{arc:?}");
+        let lr = an.lock_range().unwrap();
+        assert!(lr.phi_d_max >= arc.hi && lr.phi_d_max < arc.hi * (1.0 + 1e-3));
+        assert!(!lr.degraded);
+    }
+
+    #[test]
+    fn minimize_finds_interior_and_edge_minima() {
+        let (x, fx) = minimize(|x| (x - 0.3).powi(2) + 1.0, 0.0, 1.0, 1e-10, 100);
+        assert!(
+            (x - 0.3).abs() < 1e-8 && (fx - 1.0).abs() < 1e-15,
+            "{x} {fx}"
+        );
+        let (x, _) = minimize(|x| -x.cos(), -1.0, 2.0, 1e-10, 100);
+        assert!(x.abs() < 1e-8, "{x}");
+        let (x, _) = minimize(|x| x, 0.0, 1.0, 1e-10, 100);
+        assert!(x < 1e-6, "{x}");
+    }
+
+    /// The isoline method that `solutions_at_phase` used before the phase
+    /// track: marching squares on the masked angle grid, intersected with
+    /// `C_{T_f,1}`, then polished, deduplicated and classified alike.
+    fn isoline_solutions<N, T>(an: &ShilAnalysis<'_, N, T>, phi_d: f64) -> Vec<ShilSolution>
+    where
+        N: Nonlinearity + Sync,
+        T: Tank + Sync,
+    {
+        let tf_grid = &an.prechar.tf_grid;
+        let merge_tol = 1e-3 * tf_grid.ys()[tf_grid.ny() - 1];
+        let isoline = an.angle_isoline(-phi_d).unwrap();
+        let raw = polyline_intersections(&an.prechar.tf_unity, &isoline, merge_tol);
+        let scale = 1e-6 * an.prechar.natural.amplitude.max(1.0);
+        let mut out: Vec<ShilSolution> = Vec::new();
+        for (phi, a, fell_back) in an.refine_all(&raw, -phi_d).into_iter().flatten() {
+            let phase = wrap_angle(phi);
+            if out
+                .iter()
+                .any(|s| angle_diff(s.phase, phase).abs() < 1e-4 && (s.amplitude - a).abs() < scale)
+            {
+                continue;
+            }
+            let (stable, det, trace) = an.classify(phi, a, phi_d);
+            out.push(ShilSolution {
+                amplitude: a,
+                phase,
+                stable,
+                jacobian_det: det,
+                jacobian_trace: trace,
+                degraded: fell_back,
+            });
+        }
+        out
+    }
+
+    fn check_track_matches_isolines<N, T>(
+        f: &N,
+        t: &T,
+        n: u32,
+        vi: f64,
+        u: f64,
+    ) -> Result<(), TestCaseError>
+    where
+        N: Nonlinearity + Sync,
+        T: Tank + Sync,
+    {
+        let an = ShilAnalysis::new(f, t, n, vi, ShilOptions::default()).unwrap();
+        let Ok(lr) = an.lock_range() else {
+            return Ok(());
+        };
+        let phi_d = u * lr.phi_d_max;
+        let track = an.solutions_at_phase(phi_d).unwrap();
+        let isolines = isoline_solutions(&an, phi_d);
+        prop_assert!(
+            track.len() == isolines.len(),
+            "φ_d = {}: {:?} vs {:?}",
+            phi_d,
+            track,
+            isolines
+        );
+        for s in &track {
+            let twin = isolines
+                .iter()
+                .find(|o| angle_diff(o.phase, s.phase).abs() <= 1e-9)
+                .ok_or_else(|| TestCaseError::Fail(format!("no isoline twin of {s:?}")))?;
+            prop_assert!(
+                (twin.amplitude - s.amplitude).abs() <= 1e-9,
+                "{:?} vs {:?}",
+                s,
+                twin
+            );
+            prop_assert_eq!(twin.stable, s.stable);
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// Reading crossings off the phase track finds the same solutions
+        /// as intersecting `C_{T_f,1}` with a fresh isoline, anywhere inside
+        /// the lock range.
+        #[test]
+        fn track_solutions_match_the_isoline_method(
+            family in 0usize..3,
+            vi in 0.01f64..0.05,
+            n in 2u32..4,
+            u in -0.95f64..0.95,
+        ) {
+            let rlc = |r| ParallelRlc::new(r, 10e-6, 10e-9).unwrap();
+            match family {
+                0 => check_track_matches_isolines(&NegativeTanh::new(1e-3, 20.0), &rlc(1000.0), n, vi, u)?,
+                1 => check_track_matches_isolines(
+                    &Polynomial::new(vec![0.0, -5e-3, 0.0, 4e-3]).unwrap(),
+                    &rlc(300.0),
+                    n,
+                    vi,
+                    u,
+                )?,
+                _ => check_track_matches_isolines(
+                    &TunnelDiode::new().biased_at(0.25),
+                    &ParallelRlc::new(3753.858330376428, 10e-9, 10e-12).unwrap(),
+                    n,
+                    vi,
+                    u,
+                )?,
+            }
+        }
     }
 }

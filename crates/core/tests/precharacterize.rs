@@ -116,8 +116,6 @@ proptest! {
             phase_points: 61,
             amplitude_points: 41,
             harmonics: HarmonicOptions { samples: 128 },
-            lock_range_iters: 20,
-            lock_range_scan: 8,
             parallelism: Some(p),
             ..Default::default()
         };

@@ -31,7 +31,7 @@
 use std::collections::BTreeMap;
 use std::io;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
@@ -120,19 +120,17 @@ impl Job {
         self.status.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Persists the current status atomically. A persistence failure is
-    /// counted, not fatal — the in-memory view stays authoritative while
-    /// the process lives.
-    fn persist_status(&self) {
+    /// Persists the current status atomically; `false` if the write
+    /// failed. A persistence failure is counted, not fatal — the in-memory
+    /// view stays authoritative while the process lives.
+    fn persist_status(&self) -> bool {
         let doc = self.status().to_json();
-        if job::write_atomic(&*self.storage, &self.dir.join("status.json"), &doc).is_err() {
+        let persisted =
+            job::write_atomic(&*self.storage, &self.dir.join("status.json"), &doc).is_ok();
+        if !persisted {
             shil_observe::incr("shil_serve_status_write_failures_total");
         }
-    }
-
-    fn set_state(&self, state: JobState) {
-        self.status().state = state;
-        self.persist_status();
+        persisted
     }
 }
 
@@ -168,10 +166,49 @@ impl ServerInner {
         self.config.data_dir.join("jobs")
     }
 
+    /// Persists `jb`'s status. Once a terminal status is on disk the job
+    /// leaves memory and its directory serves it from then on; a job whose
+    /// terminal status could not be persisted stays in memory, which is
+    /// then its only correct copy.
+    fn persist(&self, jb: &Job) {
+        if jb.persist_status() && jb.status().state.is_terminal() {
+            self.jobs().remove(&jb.id);
+        }
+    }
+
+    fn set_state(&self, jb: &Job, state: JobState) {
+        jb.status().state = state;
+        self.persist(jb);
+    }
+
+    /// The persisted status document of job `id` when it is terminal —
+    /// the source of truth for a job no longer in memory.
+    fn stored_status(&self, id: u64) -> Option<String> {
+        let path = self.jobs_root().join(id.to_string()).join("status.json");
+        let text = self.config.storage.read(&path).ok()?;
+        JobStatus::parse(&text)
+            .filter(|st| st.state.is_terminal())
+            .map(|_| text)
+    }
+
+    /// `/jobs/<id>/results` of a terminal job no longer in memory, read
+    /// from its directory exactly as the live job would have served it.
+    fn stored_results(&self, id: u64) -> Option<Reply> {
+        self.stored_status(id)?;
+        let storage = &*self.config.storage;
+        let dir = self.jobs_root().join(id.to_string());
+        if let Ok(text) = storage.read(&dir.join("results.jsonl")) {
+            return Some((200, "application/jsonl", Vec::new(), text));
+        }
+        let spec = JobSpec::from_json(&storage.read(&dir.join("spec.json")).ok()?).ok()?;
+        Some(results(storage, &dir, &spec))
+    }
+
     fn publish_gauges(&self) {
         shil_observe::gauge_set("shil_serve_queue_depth", self.queue.len() as f64);
         let in_flight = *self.in_flight();
         shil_observe::gauge_set("shil_serve_in_flight", in_flight as f64);
+        shil_observe::gauge_set("shil_serve_jobs_live", self.jobs().len() as f64);
         shil_observe::gauge_set(
             "shil_serve_draining",
             if self.draining.load(Ordering::Relaxed) {
@@ -347,26 +384,25 @@ fn recover_jobs(inner: &Arc<ServerInner>) -> io::Result<()> {
         };
         max_id = max_id.max(id);
         let read_text = |name: &str| storage.read(&dir.join(name)).unwrap_or_default();
-        let spec_text = read_text("spec.json");
-        let status_text = read_text("status.json");
-        let mut status =
-            JobStatus::parse(&status_text).unwrap_or_else(|| JobStatus::queued(id, "unknown", 0));
-        let spec = match JobSpec::from_json(&spec_text) {
+        let mut status = JobStatus::parse(&read_text("status.json"))
+            .unwrap_or_else(|| JobStatus::queued(id, "unknown", 0));
+        if status.state.is_terminal() {
+            // Finished before the restart: its directory serves it, and
+            // its spec is never needed again.
+            continue;
+        }
+        let spec = match JobSpec::from_json(&read_text("spec.json")) {
             Ok(spec) => spec,
             Err(e) => {
                 // Unreadable spec: the job can never run again; make that
                 // visible rather than silently dropping the directory.
-                if !status.state.is_terminal() {
-                    status.state = JobState::Failed;
-                    status.error = Some(format!("unrecoverable spec: {e}"));
-                    let _ =
-                        job::write_atomic(&**storage, &dir.join("status.json"), &status.to_json());
-                    shil_observe::incr("shil_serve_jobs_failed_total");
-                }
+                status.state = JobState::Failed;
+                status.error = Some(format!("unrecoverable spec: {e}"));
+                let _ = job::write_atomic(&**storage, &dir.join("status.json"), &status.to_json());
+                shil_observe::incr("shil_serve_jobs_failed_total");
                 continue;
             }
         };
-        let mut requeue = !status.state.is_terminal();
         if status.state == JobState::Running {
             // The previous process died while this job ran: that is one
             // crash on this job's record. `record_crash` either parks it
@@ -375,12 +411,12 @@ fn recover_jobs(inner: &Arc<ServerInner>) -> io::Result<()> {
                 "process died while the job was running (found at restart recovery)".into(),
                 inner.config.quarantine_after,
             );
-            if quarantined {
-                requeue = false;
-                shil_observe::incr("shil_serve_jobs_quarantined_total");
-            }
             job::write_atomic(&**storage, &dir.join("status.json"), &status.to_json())?;
-        } else if requeue {
+            if quarantined {
+                shil_observe::incr("shil_serve_jobs_quarantined_total");
+                continue;
+            }
+        } else {
             status.state = JobState::Queued;
             job::write_atomic(&**storage, &dir.join("status.json"), &status.to_json())?;
         }
@@ -394,10 +430,8 @@ fn recover_jobs(inner: &Arc<ServerInner>) -> io::Result<()> {
             storage: Arc::clone(storage),
         });
         inner.jobs().insert(id, jb);
-        if requeue {
-            resume.push(id);
-            shil_observe::incr("shil_serve_jobs_recovered_total");
-        }
+        resume.push(id);
+        shil_observe::incr("shil_serve_jobs_recovered_total");
     }
     resume.sort_unstable();
     for id in resume {
@@ -497,29 +531,36 @@ fn handle(inner: &Arc<ServerInner>, req: &Request) -> Reply {
                 shil_observe::to_prometheus(&shil_observe::snapshot()),
             )
         }
-        ("GET", ["jobs"]) => {
-            let jobs = inner.jobs();
-            let mut body = String::from("[");
-            for (i, jb) in jobs.values().enumerate() {
-                if i > 0 {
-                    body.push(',');
-                }
-                body.push_str(&jb.status().to_json());
-            }
-            body.push(']');
-            json_reply(200, body)
-        }
+        ("GET", ["jobs"]) => json_reply(200, format!("[{}]", list_jobs(inner).join(","))),
         ("POST", ["jobs"]) => submit(inner, &req.body),
-        ("GET", ["jobs", id]) => match parse_id(id).and_then(|id| inner.job(id)) {
-            Some(jb) => json_reply(200, jb.status().to_json()),
+        // A job no longer in memory is terminal; its directory answers.
+        ("GET", ["jobs", id]) => match parse_id(id) {
+            Some(id) => match inner.job(id) {
+                Some(jb) => json_reply(200, jb.status().to_json()),
+                None => inner.stored_status(id).map_or_else(
+                    || error_reply(404, "no such job"),
+                    |doc| json_reply(200, doc),
+                ),
+            },
             None => error_reply(404, "no such job"),
         },
-        ("GET", ["jobs", id, "results"]) => match parse_id(id).and_then(|id| inner.job(id)) {
-            Some(jb) => results(&jb),
+        ("GET", ["jobs", id, "results"]) => match parse_id(id) {
+            Some(id) => match inner.job(id) {
+                Some(jb) => results(&*jb.storage, &jb.dir, &jb.spec),
+                None => inner
+                    .stored_results(id)
+                    .unwrap_or_else(|| error_reply(404, "no such job")),
+            },
             None => error_reply(404, "no such job"),
         },
-        ("POST", ["jobs", id, "cancel"]) => match parse_id(id).and_then(|id| inner.job(id)) {
-            Some(jb) => cancel(inner, &jb),
+        ("POST", ["jobs", id, "cancel"]) => match parse_id(id) {
+            Some(id) => match inner.job(id) {
+                Some(jb) => cancel(inner, &jb),
+                None => inner.stored_status(id).map_or_else(
+                    || error_reply(404, "no such job"),
+                    |doc| json_reply(409, doc),
+                ),
+            },
             None => error_reply(404, "no such job"),
         },
         ("POST", ["drain"]) => {
@@ -534,6 +575,32 @@ fn handle(inner: &Arc<ServerInner>, req: &Request) -> Reply {
 
 fn parse_id(s: &str) -> Option<u64> {
     s.parse().ok()
+}
+
+/// Every job's status document in id order: live jobs from memory, then
+/// the terminal statuses of jobs that have left it, from disk.
+fn list_jobs(inner: &ServerInner) -> Vec<String> {
+    let mut docs: BTreeMap<u64, String> = inner
+        .jobs()
+        .iter()
+        .map(|(&id, jb)| (id, jb.status().to_json()))
+        .collect();
+    let dirs = inner
+        .config
+        .storage
+        .list_dir(&inner.jobs_root())
+        .unwrap_or_default();
+    for id in dirs
+        .iter()
+        .filter_map(|dir| dir.file_name().and_then(|n| n.to_str()).and_then(parse_id))
+    {
+        if let std::collections::btree_map::Entry::Vacant(slot) = docs.entry(id) {
+            if let Some(doc) = inner.stored_status(id) {
+                slot.insert(doc);
+            }
+        }
+    }
+    docs.into_values().collect()
 }
 
 /// A `Retry-After` value in `base..base + spread` seconds. The jitter
@@ -618,8 +685,8 @@ fn submit(inner: &Arc<ServerInner>, body: &[u8]) -> Reply {
     }
 }
 
-fn results(jb: &Arc<Job>) -> Reply {
-    let read_text = |name: &str| jb.storage.read(&jb.dir.join(name)).ok();
+fn results(storage: &dyn Storage, dir: &Path, spec: &JobSpec) -> Reply {
+    let read_text = |name: &str| storage.read(&dir.join(name)).ok();
     if let Some(text) = read_text("results.jsonl") {
         return (200, "application/jsonl", Vec::new(), text);
     }
@@ -627,7 +694,7 @@ fn results(jb: &Arc<Job>) -> Reply {
     // streams the last finished pass's painted map; item sweeps stream
     // the completed items out of the checkpoint, rendered exactly as
     // they will be in the final file.
-    let (x_key, xs): (&str, &[f64]) = match &jb.spec.kind {
+    let (x_key, xs): (&str, &[f64]) = match &spec.kind {
         JobKind::Sweep(s) => ("scale", &s.scales),
         JobKind::LockRange(s) => ("vi", &s.vis),
         JobKind::Network(s) => ("strength", &s.strengths),
@@ -661,7 +728,7 @@ fn cancel(inner: &Arc<ServerInner>, jb: &Arc<Job>) -> Reply {
     // A still-queued job is finalized here; a running one is finalized by
     // its worker when the cancellation lands.
     if inner.queue.remove(jb.id) {
-        jb.set_state(JobState::Cancelled);
+        inner.set_state(jb, JobState::Cancelled);
         shil_observe::incr("shil_serve_jobs_cancelled_total");
         inner.publish_gauges();
     }
@@ -685,7 +752,7 @@ fn worker_loop(inner: &Arc<ServerInner>) {
         };
         let Some(jb) = inner.job(id) else { continue };
         if jb.user_cancelled.load(Ordering::SeqCst) {
-            jb.set_state(JobState::Cancelled);
+            inner.set_state(&jb, JobState::Cancelled);
             shil_observe::incr("shil_serve_jobs_cancelled_total");
             continue;
         }
@@ -715,7 +782,7 @@ fn crash_job(inner: &Arc<ServerInner>, jb: &Arc<Job>, cause: String) {
     let quarantined = jb
         .status()
         .record_crash(cause, inner.config.quarantine_after);
-    jb.persist_status();
+    inner.persist(jb);
     if quarantined {
         shil_observe::incr("shil_serve_jobs_quarantined_total");
     } else {
@@ -727,7 +794,7 @@ fn crash_job(inner: &Arc<ServerInner>, jb: &Arc<Job>, cause: String) {
 }
 
 fn run_job(inner: &Arc<ServerInner>, jb: &Arc<Job>) {
-    jb.set_state(JobState::Running);
+    inner.set_state(jb, JobState::Running);
 
     // Chaos jobs are poison pills for resilience testing: they take the
     // same `Running` path as real work and then kill their worker. The
@@ -756,7 +823,7 @@ fn run_job(inner: &Arc<ServerInner>, jb: &Arc<Job>) {
                 st.state = JobState::Failed;
                 st.error = Some(error);
                 drop(st);
-                jb.persist_status();
+                inner.persist(jb);
                 shil_observe::incr("shil_serve_jobs_failed_total");
             }
         }
@@ -794,7 +861,7 @@ fn run_job(inner: &Arc<ServerInner>, jb: &Arc<Job>) {
             st.state = JobState::Failed;
             st.error = Some(error);
             drop(st);
-            jb.persist_status();
+            inner.persist(jb);
             shil_observe::incr("shil_serve_jobs_failed_total");
         }
         Ok((xs, sweep)) => finalize(inner, jb, &xs, &sweep),
@@ -962,12 +1029,12 @@ fn run_atlas(
 fn finalize_atlas(inner: &Arc<ServerInner>, jb: &Arc<Job>, map: &AtlasMap) {
     if jb.cancel.is_cancelled() {
         if jb.user_cancelled.load(Ordering::SeqCst) {
-            jb.set_state(JobState::Cancelled);
+            inner.set_state(jb, JobState::Cancelled);
             shil_observe::incr("shil_serve_jobs_cancelled_total");
         } else {
             // Checkpoint-on-shutdown: simulated cells are on disk; park
             // the job for the next process to resume the remaining passes.
-            jb.set_state(JobState::Queued);
+            inner.set_state(jb, JobState::Queued);
             shil_observe::incr("shil_serve_jobs_requeued_total");
         }
         return;
@@ -978,7 +1045,7 @@ fn finalize_atlas(inner: &Arc<ServerInner>, jb: &Arc<Job>, map: &AtlasMap) {
         st.state = JobState::Failed;
         st.error = Some(format!("could not persist results: {e}"));
         drop(st);
-        jb.persist_status();
+        inner.persist(jb);
         shil_observe::incr("shil_serve_jobs_failed_total");
         return;
     }
@@ -994,9 +1061,8 @@ fn finalize_atlas(inner: &Arc<ServerInner>, jb: &Arc<Job>, map: &AtlasMap) {
     });
     st.restored = map.stats.restored;
     drop(st);
-    jb.persist_status();
+    inner.persist(jb);
     shil_observe::incr("shil_serve_jobs_completed_total");
-    let _ = inner;
 }
 
 /// Classifies a finished sweep into the job's terminal (or re-queued)
@@ -1012,12 +1078,12 @@ fn finalize(
     // per-item outcomes) is a regular completion.
     if jb.cancel.is_cancelled() {
         if jb.user_cancelled.load(Ordering::SeqCst) {
-            jb.set_state(JobState::Cancelled);
+            inner.set_state(jb, JobState::Cancelled);
             shil_observe::incr("shil_serve_jobs_cancelled_total");
         } else {
             // Checkpoint-on-shutdown: completed items are on disk; park the
             // job for the next process to resume.
-            jb.set_state(JobState::Queued);
+            inner.set_state(jb, JobState::Queued);
             shil_observe::incr("shil_serve_jobs_requeued_total");
         }
         return;
@@ -1038,7 +1104,7 @@ fn finalize(
         st.state = JobState::Failed;
         st.error = Some(format!("could not persist results: {e}"));
         drop(st);
-        jb.persist_status();
+        inner.persist(jb);
         shil_observe::incr("shil_serve_jobs_failed_total");
         return;
     }
@@ -1050,7 +1116,6 @@ fn finalize(
     ));
     st.restored = sweep.items.iter().filter(|i| i.restored).count();
     drop(st);
-    jb.persist_status();
+    inner.persist(jb);
     shil_observe::incr("shil_serve_jobs_completed_total");
-    let _ = inner;
 }

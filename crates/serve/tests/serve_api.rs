@@ -573,3 +573,126 @@ fn drain_returns_when_the_last_running_job_finishes() {
         std::fs::read_to_string(dir.join(format!("jobs/{id}/status.json"))).expect("status");
     assert!(status.contains("\"done\""), "{status}");
 }
+
+/// `shil_serve_jobs_live` as `/metrics` reports it. Tests in this binary
+/// share one process-wide registry, so a concurrent test's server can
+/// publish its own gauge between this server's publish and the snapshot;
+/// poll until this server's value (0 here) shows.
+fn wait_jobs_live_zero(addr: &str) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let metrics = get(addr, "/metrics").body;
+        if metrics.lines().any(|l| l == "shil_serve_jobs_live 0") {
+            return;
+        }
+        assert!(Instant::now() < deadline, "jobs stayed live:\n{metrics}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+#[test]
+fn finished_jobs_leave_memory_and_are_served_from_disk() {
+    let dir = temp_dir("retire");
+    let server = Server::start(ServerConfig {
+        workers: 1,
+        sweep_threads: Some(1),
+        data_dir: dir.clone(),
+        ..ServerConfig::default()
+    })
+    .expect("start");
+    let addr = server.addr().to_string();
+    let ids: Vec<u64> = (1..=4)
+        .map(|k| {
+            job_id(&post(
+                &addr,
+                "/jobs",
+                &sweep_body(&format!("[{k}.0]"), 1e-5),
+            ))
+        })
+        .collect();
+    for &id in &ids {
+        wait_state(&addr, id, "done", Duration::from_secs(60));
+    }
+    wait_jobs_live_zero(&addr);
+
+    // Every finished job is still served, byte for byte from its directory.
+    let mut statuses = Vec::new();
+    for &id in &ids {
+        let status = get(&addr, &format!("/jobs/{id}"));
+        assert_eq!(status.status, 200);
+        let on_disk =
+            std::fs::read_to_string(dir.join(format!("jobs/{id}/status.json"))).expect("status");
+        assert_eq!(status.body, on_disk);
+        let results = get(&addr, &format!("/jobs/{id}/results"));
+        assert_eq!(results.status, 200);
+        assert!(results.header("x-shil-partial").is_none());
+        let on_disk =
+            std::fs::read_to_string(dir.join(format!("jobs/{id}/results.jsonl"))).expect("results");
+        assert_eq!(results.body, on_disk);
+        // A finished job cannot be cancelled, in memory or not.
+        let cancel = post(&addr, &format!("/jobs/{id}/cancel"), "");
+        assert_eq!((cancel.status, &cancel.body), (409, &status.body));
+        statuses.push(status.body);
+    }
+    // The listing merges them in id order.
+    assert_eq!(
+        get(&addr, "/jobs").body,
+        format!("[{}]", statuses.join(","))
+    );
+    assert_eq!(get(&addr, "/jobs/99").status, 404);
+    assert_eq!(get(&addr, "/jobs/99/results").status, 404);
+    server.shutdown();
+
+    // A restart loads no finished job, and needs no spec to serve one.
+    std::fs::write(dir.join(format!("jobs/{}/spec.json", ids[0])), "{torn").expect("corrupt");
+    let server = Server::start(ServerConfig {
+        workers: 1,
+        data_dir: dir.clone(),
+        ..ServerConfig::default()
+    })
+    .expect("restart");
+    let addr = server.addr().to_string();
+    wait_jobs_live_zero(&addr);
+    for (&id, before) in ids.iter().zip(&statuses) {
+        assert_eq!(&get(&addr, &format!("/jobs/{id}")).body, before);
+    }
+    let results = get(&addr, &format!("/jobs/{}/results", ids[0]));
+    assert_eq!(results.status, 200);
+    assert!(
+        results.body.contains("\"aggregate\":true"),
+        "{}",
+        results.body
+    );
+    // Fresh ids continue past the finished ones.
+    let next = job_id(&post(&addr, "/jobs", &sweep_body("[1.0]", 1e-5)));
+    assert_eq!(next, ids[ids.len() - 1] + 1);
+    server.shutdown();
+}
+
+#[test]
+fn status_and_results_served_from_disk_match_the_live_job() {
+    // No workers: the job stays queued (live) until it is cancelled.
+    let server = Server::start(ServerConfig {
+        workers: 0,
+        ..config("retire-identity")
+    })
+    .expect("start");
+    let addr = server.addr().to_string();
+    let id = job_id(&post(&addr, "/jobs", &sweep_body("[1.0,2.0]", 1e-5)));
+    let live_results = get(&addr, &format!("/jobs/{id}/results"));
+    // The cancel reply is rendered from the in-memory job; every later
+    // request is answered from disk.
+    let live_status = post(&addr, &format!("/jobs/{id}/cancel"), "");
+    assert_eq!(live_status.status, 200, "{}", live_status.body);
+    assert!(live_status.body.contains("\"cancelled\""));
+    wait_jobs_live_zero(&addr);
+    assert_eq!(get(&addr, &format!("/jobs/{id}")).body, live_status.body);
+    let stored_results = get(&addr, &format!("/jobs/{id}/results"));
+    assert_eq!(stored_results.status, live_results.status);
+    assert_eq!(stored_results.body, live_results.body);
+    assert_eq!(
+        stored_results.header("x-shil-partial"),
+        live_results.header("x-shil-partial")
+    );
+    server.shutdown();
+}

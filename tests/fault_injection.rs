@@ -28,8 +28,6 @@ fn small_opts() -> ShilOptions {
         phase_points: 41,
         amplitude_points: 31,
         harmonics: HarmonicOptions { samples: 64 },
-        lock_range_iters: 10,
-        lock_range_scan: 8,
         parallelism: Some(1),
         ..Default::default()
     }
