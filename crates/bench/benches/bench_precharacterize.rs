@@ -30,7 +30,8 @@ fn bench_precharacterize(c: &mut Criterion) {
     let mut g = c.benchmark_group("grid_fill");
     g.sample_size(10);
     // The original engine: one scalar two-tone quadrature per cell, trig
-    // re-derived inside every integrand evaluation.
+    // re-derived inside every integrand evaluation, over the full grid (the
+    // batched fills evaluate the φ ≤ π half and mirror the rest).
     g.bench_function("scalar_per_cell", |b| {
         b.iter(|| {
             let mut acc = 0.0;
@@ -44,10 +45,10 @@ fn bench_precharacterize(c: &mut Criterion) {
         })
     });
     g.bench_function("batched_serial", |b| {
-        b.iter(|| precharacterize(&f, r, vi, &phis, &amps, &table, 1).expect("grids"))
+        b.iter(|| precharacterize(&f, r, vi, nx, &amps, &table, 1).expect("grids"))
     });
     g.bench_function(format!("batched_parallel_x{cores}"), |b| {
-        b.iter(|| precharacterize(&f, r, vi, &phis, &amps, &table, cores).expect("grids"))
+        b.iter(|| precharacterize(&f, r, vi, nx, &amps, &table, cores).expect("grids"))
     });
     g.finish();
 

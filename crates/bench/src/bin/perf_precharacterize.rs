@@ -3,8 +3,10 @@
 //! Measures, on the default-resolution grid of the tanh reference
 //! oscillator:
 //!
-//! - the original per-cell scalar fill (trig re-derived per integrand
-//!   evaluation) vs the batched twiddle-table fill, serial and parallel;
+//! - the original per-cell scalar fill over the full grid (trig re-derived
+//!   per integrand evaluation) vs the batched twiddle-table fill, serial
+//!   and parallel, which evaluates the `φ ≤ π` half and mirrors the rest
+//!   (`cells_evaluated`, read off `shil_core_prechar_cells_total`);
 //! - a 25-point injection-frequency sweep constructing one analysis per
 //!   point, uncached vs served from a [`PrecharCache`] (the cache must
 //!   build the grid exactly once);
@@ -42,6 +44,18 @@ fn median_secs(reps: usize, mut f: impl FnMut()) -> f64 {
     times[reps / 2].as_secs_f64()
 }
 
+/// Runs `run` with the metric registry enabled; returns its result and what
+/// it added to counter `name`.
+fn counted<T>(name: &str, run: impl FnOnce() -> T) -> (T, u64) {
+    let was = shil::observe::is_enabled();
+    shil::observe::set_enabled(true);
+    let before = shil::observe::snapshot().counter(name);
+    let out = run();
+    let after = shil::observe::snapshot().counter(name);
+    shil::observe::set_enabled(was);
+    (out, after - before)
+}
+
 fn main() {
     let obs = obs::init("perf_precharacterize");
     let log = &obs.log;
@@ -68,14 +82,18 @@ fn main() {
     manifest.push_config("samples_per_period", opts.harmonics.samples as u64);
     manifest.push_config("cores", cores as u64);
 
-    let phis: Vec<f64> = (0..opts.phase_points)
-        .map(|i| std::f64::consts::TAU * i as f64 / (opts.phase_points - 1) as f64)
+    let nx = opts.phase_points;
+    let phis: Vec<f64> = (0..nx)
+        .map(|i| std::f64::consts::TAU * i as f64 / (nx - 1) as f64)
         .collect();
     let amps: Vec<f64> = (0..opts.amplitude_points)
         .map(|j| 0.06 + 0.015 * j as f64)
         .collect();
     let table = HarmonicTable::new(n, 1, &opts.harmonics);
 
+    let (_, cells_evaluated) = counted("shil_core_prechar_cells_total", || {
+        precharacterize(&f, r, vi, nx, &amps, &table, 1).expect("grids")
+    });
     let reps = 5;
     let t_scalar = median_secs(reps, || {
         let mut acc = 0.0;
@@ -88,17 +106,16 @@ fn main() {
         std::hint::black_box(acc);
     });
     let t_serial = median_secs(reps, || {
-        std::hint::black_box(precharacterize(&f, r, vi, &phis, &amps, &table, 1).expect("grids"));
+        std::hint::black_box(precharacterize(&f, r, vi, nx, &amps, &table, 1).expect("grids"));
     });
     let t_parallel = median_secs(reps, || {
-        std::hint::black_box(
-            precharacterize(&f, r, vi, &phis, &amps, &table, cores).expect("grids"),
-        );
+        std::hint::black_box(precharacterize(&f, r, vi, nx, &amps, &table, cores).expect("grids"));
     });
     log.info(
         "grid_fill_measured",
         &[
             ("reps", (reps as u64).into()),
+            ("cells_evaluated", cells_evaluated.into()),
             ("scalar_per_cell_s", t_scalar.into()),
             ("batched_serial_s", t_serial.into()),
             ("batched_parallel_s", t_parallel.into()),
@@ -173,19 +190,11 @@ fn main() {
         let an = ShilAnalysis::new(&f, &tank, n, vi_k, opts).expect("analysis");
         // Newton iterations of the polishes per query, counted on an
         // untimed call: the query's cost is nearly all polish work.
-        let newton_iters = |run: &dyn Fn() -> f64| {
-            const ITERS: &str = "shil_numerics_newton_iterations_total";
-            let was = shil::observe::is_enabled();
-            shil::observe::set_enabled(true);
-            let before = shil::observe::snapshot().counter(ITERS);
-            let phi_d_max = run();
-            let after = shil::observe::snapshot().counter(ITERS);
-            shil::observe::set_enabled(was);
-            (phi_d_max, after - before)
-        };
-        let (walk, walk_iters) = newton_iters(&|| an.lock_range().expect("lock range").phi_d_max);
-        let (scan, scan_iters) =
-            newton_iters(&|| scan_lock_range(&an, &tank).expect("oracle").phi_d_max);
+        const ITERS: &str = "shil_numerics_newton_iterations_total";
+        let (walk, walk_iters) = counted(ITERS, || an.lock_range().expect("lock range").phi_d_max);
+        let (scan, scan_iters) = counted(ITERS, || {
+            scan_lock_range(&an, &tank).expect("oracle").phi_d_max
+        });
         let walk_s = median_secs(5, || {
             std::hint::black_box(an.lock_range().expect("lock range"));
         });
@@ -255,7 +264,8 @@ fn main() {
     );
 
     let json = format!(
-        "{{\n  \"grid\": [{}, {}],\n  \"samples_per_period\": {},\n  \"cores\": {},\n  \
+        "{{\n  \"grid\": [{}, {}],\n  \"phase_points\": {},\n  \"cells_evaluated\": {},\n  \
+         \"samples_per_period\": {},\n  \"cores\": {},\n  \
          \"grid_fill_median_s\": {{\n    \"scalar_per_cell\": {:.6e},\n    \
          \"batched_serial\": {:.6e},\n    \"batched_parallel\": {:.6e}\n  }},\n  \
          \"speedup_batched_serial_vs_scalar\": {:.3},\n  \
@@ -264,6 +274,8 @@ fn main() {
          \"sweep25_cached_grid_builds\": {},\n  \"sweep25_cached_grid_hits\": {},\n{}}}\n",
         opts.phase_points,
         opts.amplitude_points,
+        opts.phase_points,
+        cells_evaluated,
         opts.harmonics.samples,
         cores,
         t_scalar,

@@ -382,10 +382,12 @@ impl AtlasMap {
             .count()
     }
 
-    /// Mismatch count against a dense reference over *all* pixels
-    /// (informational: interior pixels are painted from representatives,
-    /// so a handful of disagreements right at tongue tips is expected at
-    /// coarse sizes).
+    /// Mismatch count against a dense reference over *all* pixels.
+    ///
+    /// Not gated yet. Interior pixels are painted from their tile's
+    /// representative, so a tongue tip thinner than a coarse tile is lost:
+    /// `results/BENCH_atlas.json` records 573 of 16384 pixels wrong at
+    /// 128×128 (ROADMAP item 1 makes this count the gated oracle).
     pub fn total_mismatches(&self, reference: &[LockVerdict]) -> usize {
         assert_eq!(reference.len(), self.nx * self.ny, "reference grid shape");
         self.verdicts

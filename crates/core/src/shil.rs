@@ -12,9 +12,12 @@
 //! ```
 //!
 //! Both left-hand sides are pre-characterized on a rectangular `(φ, A)`
-//! grid. The level set `C_{T_f,1}` is extracted once with marching squares
-//! — it does **not** depend on the injection frequency, the invariance the
-//! paper exploits for cheap lock-range sweeps. So every point `s` of
+//! grid, of which only the `φ ∈ [0, π]` half is evaluated: `φ → −φ`
+//! conjugates `I₁` (§VI-B3), so the column at `2π − φ` repeats `T_f` and
+//! negates `∠−I₁` (see [`precharacterize`]). The level set `C_{T_f,1}` is
+//! extracted once with marching squares — it does **not** depend on the
+//! injection frequency, the invariance the paper exploits for cheap
+//! lock-range sweeps. So every point `s` of
 //! `C_{T_f,1}` is a lock solution for exactly one tank phase,
 //! `φ_d(s) = −∠−I₁(s)`: the build evaluates `∠−I₁` exactly at every vertex
 //! (the *phase track*), and a query at `φ_d` reads its solutions off the
@@ -39,7 +42,6 @@ use shil_numerics::fallback::{newton_with_restarts, FallbackOptions};
 use shil_numerics::newton::NewtonOptions;
 use shil_numerics::roots::brent;
 use shil_numerics::{wrap_angle, Grid2};
-use shil_runtime::Budget;
 
 use crate::cache::{self, NaturalKey, PrecharCache, PrecharKey, Precharacterization};
 use crate::describing::{natural_oscillation, NaturalOptions, NaturalOscillation};
@@ -128,85 +130,57 @@ fn grid_options_fingerprint(opts: &ShilOptions) -> u64 {
     )
 }
 
-/// Fills the `T_f(φ, A)` and `∠−I₁(φ, A)` grids for the given axes using
+/// Fills the `T_f(φ, A)` and `∠−I₁(φ, A)` grids on the uniform phase axis
+/// `φ_i = 2π·i/(phase_points − 1)` and the given amplitude axis, using
 /// `threads` workers.
 ///
 /// This is the hot loop of [`ShilAnalysis::new`], exposed so sweeps and
-/// benchmarks can drive it directly. Each grid cell costs one batched
+/// benchmarks can drive it directly. Each evaluated cell costs one batched
 /// two-tone sampling pass of `table` (no trigonometric calls; see
-/// [`HarmonicTable`]). Rows are partitioned into disjoint contiguous chunks,
-/// one scoped thread per chunk, every cell computed by the same expressions
-/// in the same order — so serial (`threads == 1`) and parallel fills return
+/// [`HarmonicTable`]).
+///
+/// Only the columns `φ ∈ [0, π]` — `⌈phase_points/2⌉` of them — are
+/// evaluated. Replacing `φ` by `−φ` conjugates the fundamental phasor
+/// (§VI-B3), and exactly so for the periodic trapezoid sum: waveform sample
+/// `k` at `−φ` is sample `N − k` at `φ`. The column at `2π − φ` therefore
+/// carries the same `T_f` and the opposite `∠−I₁`, and is written from its
+/// mirror in the same row pass. Angles are kept in `(−π, π]`: `π` mirrors
+/// to `π` and `−0.0` is written as `0.0`. The uniform axis is built here so
+/// the mirror pairing holds by construction.
+///
+/// Rows are partitioned into disjoint contiguous chunks, one scoped thread
+/// per chunk, every cell computed by the same expressions in the same
+/// order — so serial (`threads == 1`) and parallel fills return
 /// **bit-for-bit identical** grids.
 ///
 /// # Errors
 ///
-/// Propagates grid-construction failures (non-monotonic axes).
+/// [`ShilError::InvalidParameter`] for fewer than 2 phase points, plus
+/// grid-construction failures (fewer than 2 or non-monotonic amplitudes).
 pub fn precharacterize<N: Nonlinearity + Sync + ?Sized>(
     nonlinearity: &N,
     r: f64,
     vi: f64,
-    phis: &[f64],
+    phase_points: usize,
     amps: &[f64],
     table: &HarmonicTable,
     threads: usize,
 ) -> Result<(Grid2, Grid2), ShilError> {
-    precharacterize_budgeted(
-        nonlinearity,
-        r,
-        vi,
-        phis,
-        amps,
-        table,
-        threads,
-        &Budget::unlimited(),
-    )
-}
-
-/// [`precharacterize`] under an execution [`Budget`].
-///
-/// Every worker checks the budget at each row boundary, so a deadline or a
-/// cancelled token stops the fill within one row per worker. A fill that
-/// ran to completion is returned even if the budget trips on the final
-/// check — completion wins the race.
-///
-/// # Errors
-///
-/// [`ShilError::Numerics`] with `NumericsError::Cancelled` once the budget
-/// trips (the partial grid is discarded: a grid with unfilled rows has no
-/// meaningful "best iterate"), plus every failure mode of
-/// [`precharacterize`].
-#[allow(clippy::too_many_arguments)]
-pub fn precharacterize_budgeted<N: Nonlinearity + Sync + ?Sized>(
-    nonlinearity: &N,
-    r: f64,
-    vi: f64,
-    phis: &[f64],
-    amps: &[f64],
-    table: &HarmonicTable,
-    threads: usize,
-    budget: &Budget,
-) -> Result<(Grid2, Grid2), ShilError> {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    let cancelled = || {
-        shil_observe::incr("shil_core_prechar_cancellations_total");
-        ShilError::Numerics(shil_numerics::NumericsError::Cancelled {
-            best_iterate: Vec::new(),
-            elapsed: budget.elapsed(),
-        })
-    };
-    // Prompt cancellation: a pre-tripped budget computes no cell.
-    if budget.cancelled().is_some() {
-        return Err(cancelled());
+    if phase_points < 2 {
+        return Err(ShilError::InvalidParameter(format!(
+            "phase axis needs at least 2 points, got {phase_points}"
+        )));
     }
-    let nx = phis.len();
+    let nx = phase_points;
     let ny = amps.len();
+    let phis: Vec<f64> = (0..nx)
+        .map(|i| std::f64::consts::TAU * i as f64 / (nx - 1) as f64)
+        .collect();
+    let half = nx.div_ceil(2);
     let _fill_span = shil_observe::span("shil_core_prechar_fill");
-    shil_observe::counter_add("shil_core_prechar_cells_total", (nx * ny) as u64);
+    shil_observe::counter_add("shil_core_prechar_cells_total", (half * ny) as u64);
     let mut tf_data = vec![0.0; nx * ny];
     let mut angle_data = vec![0.0; nx * ny];
-    let aborted = AtomicBool::new(false);
 
     // `j0` is the absolute index of the first row in the chunk; each worker
     // owns a disjoint &mut window of both data vectors.
@@ -217,18 +191,17 @@ pub fn precharacterize_budgeted<N: Nonlinearity + Sync + ?Sized>(
             .zip(angle_rows.chunks_mut(nx))
             .enumerate()
         {
-            // Row-boundary budget check; `aborted` (not the budget itself)
-            // is the authoritative flag, so a fill whose last row finishes
-            // just as the deadline passes still counts as complete.
-            if !budget.is_unlimited() && budget.cancelled().is_some() {
-                aborted.store(true, Ordering::Relaxed);
-                return;
-            }
             let a = amps[j0 + dj];
-            for (i, &phi) in phis.iter().enumerate() {
+            for (i, &phi) in phis[..half].iter().enumerate() {
                 let i1 = table.i1(nonlinearity, a, vi, phi, &mut buf);
-                tf_row[i] = -r * i1.re / (a / 2.0);
-                angle_row[i] = (-i1).arg();
+                let (tf, angle) = (-r * i1.re / (a / 2.0), half_open((-i1).arg()));
+                tf_row[i] = tf;
+                angle_row[i] = angle;
+                let mirror = nx - 1 - i;
+                if mirror != i {
+                    tf_row[mirror] = tf;
+                    angle_row[mirror] = mirror_angle(angle);
+                }
             }
         }
     };
@@ -250,12 +223,29 @@ pub fn precharacterize_budgeted<N: Nonlinearity + Sync + ?Sized>(
         });
     }
 
-    if aborted.load(std::sync::atomic::Ordering::Relaxed) {
-        return Err(cancelled());
-    }
-    let tf_grid = Grid2::from_data(phis.to_vec(), amps.to_vec(), tf_data)?;
-    let angle_grid = Grid2::from_data(phis.to_vec(), amps.to_vec(), angle_data)?;
+    let tf_grid = Grid2::from_data(phis.clone(), amps.to_vec(), tf_data)?;
+    let angle_grid = Grid2::from_data(phis, amps.to_vec(), angle_data)?;
     Ok((tf_grid, angle_grid))
+}
+
+/// An angle from `atan2` kept in `(−π, π]`: a `−0.0` imaginary part on
+/// the negative real axis gives `−π`, the same angle as `π`.
+fn half_open(angle: f64) -> f64 {
+    if angle == -std::f64::consts::PI {
+        std::f64::consts::PI
+    } else {
+        angle
+    }
+}
+
+/// `∠−I₁` at `2π − φ` from `∠−I₁` at `φ`: the conjugate's angle, kept in
+/// `(−π, π]`. Negation alone would send `π` to `−π` and `0` to `−0.0`.
+fn mirror_angle(angle: f64) -> f64 {
+    if angle == std::f64::consts::PI || angle == 0.0 {
+        angle.abs()
+    } else {
+        -angle
+    }
 }
 
 /// One lock solution `(φ_s, A_s)` of the SHIL equations.
@@ -484,16 +474,14 @@ impl<'a, N: Nonlinearity + Sync + ?Sized, T: Tank + Sync + ?Sized> ShilAnalysis<
         let a_hi = opts.a_max_factor * natural.amplitude;
         let (nx, ny) = (opts.phase_points, opts.amplitude_points);
 
-        // One batched sampling pass per grid point yields both fields.
-        let phis: Vec<f64> = (0..nx)
-            .map(|i| std::f64::consts::TAU * i as f64 / (nx - 1) as f64)
-            .collect();
+        // One batched sampling pass per evaluated node yields both fields;
+        // the φ > π half is mirrored from the φ ≤ π half.
         let amps: Vec<f64> = (0..ny)
             .map(|j| a_lo + (a_hi - a_lo) * j as f64 / (ny - 1) as f64)
             .collect();
         let table = HarmonicTable::new(n, 1, &opts.harmonics);
         let (tf_grid, angle_grid) =
-            precharacterize(nonlinearity, r, vi, &phis, &amps, &table, threads)?;
+            precharacterize(nonlinearity, r, vi, nx, &amps, &table, threads)?;
         // Non-finite nodes are tolerated — marching squares masks the cells
         // around them — but their count is kept so every downstream query
         // can flag its answers as degraded.
@@ -1422,49 +1410,30 @@ mod tests {
     }
 
     #[test]
-    fn precharacterize_budget_semantics() {
+    fn grid_angles_stay_in_the_half_open_range() {
+        use std::f64::consts::PI;
+        // A node at exactly π is its own conjugate's angle: it mirrors to
+        // π, not to −π, which lies outside (−π, π].
+        assert_eq!(mirror_angle(PI).to_bits(), PI.to_bits());
+        assert_eq!(half_open(-PI).to_bits(), PI.to_bits());
+        assert_eq!(half_open(PI).to_bits(), PI.to_bits());
+        assert_eq!(half_open(-3.0), -3.0);
+        assert_eq!(mirror_angle(0.0).to_bits(), 0.0f64.to_bits());
+        assert_eq!(mirror_angle(-0.0).to_bits(), 0.0f64.to_bits());
+        assert_eq!(mirror_angle(1.25), -1.25);
+        assert_eq!(mirror_angle(-3.0), 3.0);
+        assert!(mirror_angle(f64::NAN).is_nan());
+    }
+
+    #[test]
+    fn precharacterize_rejects_a_phase_axis_under_two_points() {
         let (f, _t) = setup();
-        let phis: Vec<f64> = (0..32)
-            .map(|i| i as f64 * std::f64::consts::TAU / 31.0)
-            .collect();
-        let amps: Vec<f64> = (1..=16).map(|j| j as f64 * 0.1).collect();
         let table = HarmonicTable::new(3, 1, &HarmonicOptions { samples: 64 });
-        // A generous budget changes nothing, bit for bit, at any threads.
-        let plain = precharacterize(&f, 1000.0, 0.03, &phis, &amps, &table, 2).unwrap();
-        let budgeted = precharacterize_budgeted(
-            &f,
-            1000.0,
-            0.03,
-            &phis,
-            &amps,
-            &table,
-            3,
-            &Budget::with_deadline(std::time::Duration::from_secs(3600)),
-        )
-        .unwrap();
-        assert_eq!(plain, budgeted);
-        // A pre-cancelled token stops the fill before any cell, serial and
-        // parallel alike.
-        for threads in [1usize, 4] {
-            let token = shil_runtime::CancelToken::new();
-            token.cancel();
-            let err = precharacterize_budgeted(
-                &f,
-                1000.0,
-                0.03,
-                &phis,
-                &amps,
-                &table,
-                threads,
-                &Budget::unlimited().with_token(token),
-            )
-            .unwrap_err();
+        for phase_points in [0, 1] {
+            let err = precharacterize(&f, 1000.0, 0.03, phase_points, &[0.1, 0.2], &table, 2);
             assert!(
-                matches!(
-                    err,
-                    ShilError::Numerics(shil_numerics::NumericsError::Cancelled { .. })
-                ),
-                "threads {threads}: got {err:?}"
+                matches!(err, Err(ShilError::InvalidParameter(_))),
+                "{phase_points} phase points: {err:?}"
             );
         }
     }

@@ -1,24 +1,145 @@
 //! Property-based invariants of the batched/parallel pre-characterization
 //! engine.
 //!
-//! Two guarantees are load-bearing for the perf work and are pinned here:
+//! Three guarantees are load-bearing for the perf work and are pinned here:
 //!
 //! 1. **Thread-count invariance is exact.** The parallel grid fill
 //!    partitions rows across workers but computes every cell with the same
 //!    expressions in the same order, so serial and parallel fills must be
 //!    *bit-for-bit* identical — not merely close. Same for the full
-//!    analysis pipeline (refinement fan-out, lock-range scan).
+//!    analysis pipeline (refinement fan-out, lock-range walk).
 //! 2. **Batching does not change the numbers.** The single-tone batched
 //!    path reuses the exact trigonometric expressions of the scalar path
 //!    and must match it bit-for-bit; the two-tone path phase-decomposes the
 //!    injection angle and is allowed rounding-level (~1 ulp per operation)
 //!    differences only.
+//! 3. **The mirrored half of the grid is the grid.** The fill evaluates
+//!    only `φ ∈ [0, π]` and writes the column at `2π − φ` from the
+//!    conjugate symmetry; every node must match a direct scalar evaluation
+//!    at that node to rounding level, for every element family.
 
 use proptest::prelude::*;
-use shil_core::harmonics::{i1_injected, i_k, HarmonicOptions, HarmonicTable};
-use shil_core::nonlinearity::NegativeTanh;
+use shil_core::harmonics::{
+    angle_neg_i1, i1_injected, i_k, t_f_injected, HarmonicOptions, HarmonicTable,
+};
+use shil_core::nonlinearity::{NegativeTanh, Nonlinearity, Polynomial, Tabulated, TunnelDiode};
 use shil_core::shil::{precharacterize, ShilAnalysis, ShilOptions};
 use shil_core::tank::ParallelRlc;
+use shil_numerics::angle_diff;
+
+/// Fills a `phase_points × amps` grid and compares every node — the
+/// mirrored `φ > π` columns included — with `t_f_injected` /
+/// `angle_neg_i1` evaluated directly at the node's `(φ, A)`.
+fn check_mirror<N: Nonlinearity + Sync>(
+    f: &N,
+    r: f64,
+    vi: f64,
+    n: u32,
+    phase_points: usize,
+    amps: &[f64],
+) -> Result<(), TestCaseError> {
+    let opts = HarmonicOptions { samples: 64 };
+    let table = HarmonicTable::new(n, 1, &opts);
+    let (tf, angle) = precharacterize(f, r, vi, phase_points, amps, &table, 1).unwrap();
+    prop_assert_eq!(tf.nx(), phase_points);
+    for (j, &a) in amps.iter().enumerate() {
+        for (i, &phi) in tf.xs().iter().enumerate() {
+            let tf_direct = t_f_injected(f, r, a, vi, phi, n, &opts);
+            let angle_direct = angle_neg_i1(f, a, vi, phi, n, &opts);
+            let (t, g) = (tf.value(i, j), angle.value(i, j));
+            prop_assert!(
+                (t - tf_direct).abs() <= 1e-12 * (1.0 + tf_direct.abs()),
+                "n={} nx={} node ({}, {}): T_f {} vs direct {}",
+                n,
+                phase_points,
+                i,
+                j,
+                t,
+                tf_direct
+            );
+            prop_assert!(
+                angle_diff(g, angle_direct).abs() <= 1e-12,
+                "n={} nx={} node ({}, {}): angle {} vs direct {}",
+                n,
+                phase_points,
+                i,
+                j,
+                g,
+                angle_direct
+            );
+            prop_assert!(
+                g > -std::f64::consts::PI && g <= std::f64::consts::PI,
+                "n={} nx={} node ({}, {}): angle {} outside (-pi, pi] (direct {})",
+                n,
+                phase_points,
+                i,
+                j,
+                g,
+                angle_direct
+            );
+        }
+    }
+    Ok(())
+}
+
+/// Element families of the mirror check, with a tank resistance and an
+/// amplitude scale near each one's natural oscillation: the tanh
+/// reference, van der Pol, the §VI-C tunnel diode at its 0.25 V bias, and
+/// a PCHIP table of a tanh curve.
+fn check_family(family: usize, vi: f64, n: u32, phase_points: usize) -> Result<(), TestCaseError> {
+    let amps = |scale: f64| -> Vec<f64> { (1..=5).map(|j| scale * j as f64 / 4.0).collect() };
+    match family {
+        0 => check_mirror(
+            &NegativeTanh::new(1e-3, 20.0),
+            1000.0,
+            vi,
+            n,
+            phase_points,
+            &amps(0.1),
+        ),
+        1 => check_mirror(
+            &Polynomial::van_der_pol(5e-3, 4e-3).unwrap(),
+            300.0,
+            vi,
+            n,
+            phase_points,
+            &amps(1.0),
+        ),
+        2 => check_mirror(
+            &TunnelDiode::new().biased_at(0.25),
+            3753.858330376428,
+            vi,
+            n,
+            phase_points,
+            &amps(0.15),
+        ),
+        _ => {
+            let v: Vec<f64> = (0..=40).map(|k| -0.5 + 0.025 * k as f64).collect();
+            let i = v.iter().map(|&x| -1e-3 * (20.0 * x).tanh()).collect();
+            check_mirror(
+                &Tabulated::new(v, i).unwrap(),
+                1000.0,
+                vi,
+                n,
+                phase_points,
+                &amps(0.1),
+            )
+        }
+    }
+}
+
+#[test]
+fn mirrored_grid_matches_direct_evaluation_on_the_smallest_axes() {
+    // Two and three phase points: the φ = 2π column mirrors φ = 0, and the
+    // φ = π column of an odd axis is its own mirror.
+    for family in 0..4 {
+        for n in 1..=4 {
+            for phase_points in [2, 3] {
+                check_family(family, 0.02, n, phase_points).unwrap();
+            }
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -35,21 +156,28 @@ proptest! {
     ) {
         let f = NegativeTanh::new(i0, gain);
         let table = HarmonicTable::new(n, 1, &HarmonicOptions { samples: 64 });
-        let phis: Vec<f64> = (0..nx)
-            .map(|i| std::f64::consts::TAU * i as f64 / nx as f64)
-            .collect();
         let amps: Vec<f64> = (0..ny).map(|j| 0.1 + 0.1 * j as f64).collect();
         let r = 1000.0;
 
         let (tf_serial, ang_serial) =
-            precharacterize(&f, r, vi, &phis, &amps, &table, 1).unwrap();
+            precharacterize(&f, r, vi, nx, &amps, &table, 1).unwrap();
         let (tf_par, ang_par) =
-            precharacterize(&f, r, vi, &phis, &amps, &table, threads).unwrap();
+            precharacterize(&f, r, vi, nx, &amps, &table, threads).unwrap();
 
         // Grid2 compares data element-wise by f64 equality, so this is the
         // bit-for-bit claim (no NaNs occur for these inputs).
         prop_assert_eq!(&tf_serial, &tf_par);
         prop_assert_eq!(&ang_serial, &ang_par);
+    }
+
+    #[test]
+    fn mirrored_grid_matches_direct_evaluation(
+        family in 0usize..4,
+        vi in 0.005f64..0.05,
+        n in 1u32..5,
+        phase_points in 2usize..24,
+    ) {
+        check_family(family, vi, n, phase_points)?;
     }
 
     #[test]
@@ -126,7 +254,7 @@ proptest! {
         prop_assert_eq!(serial.angle_grid(), parallel.angle_grid());
 
         // Solutions and the lock range run the refinement fan-out and the
-        // coarse scan; both must also be exactly thread-count invariant.
+        // phase-track walk; both must also be exactly thread-count invariant.
         let s = serial.solutions_at_phase(phi_d).unwrap();
         let p = parallel.solutions_at_phase(phi_d).unwrap();
         prop_assert_eq!(s, p);
