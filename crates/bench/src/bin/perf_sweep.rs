@@ -11,8 +11,8 @@
 //!
 //! ```text
 //! perf_sweep [--quick] [--points <n>] [--threads <n>] [--timeout <s>]
-//!            [--item-timeout <s>] [--retries <n>] [--backend scalar|batched|auto]
-//!            [--checkpoint [path]] [--resume] [--out <path>]
+//!            [--item-timeout <s>] [--retries <n>] [--checkpoint [path]]
+//!            [--resume] [--out <path>]
 //! ```
 //!
 //! Without `--resume`, a pre-existing checkpoint at the chosen path is
@@ -22,15 +22,14 @@
 //! finish the job.
 //!
 //! All points share one time grid (anchored at the sweep's center
-//! frequency), so under `--backend batched` the whole block advances in
-//! lock-step. Because every backend is bit-identical per item, the diff
-//! oracle extends across backends: a clean `--backend scalar` run and a
-//! killed-then-resumed `--backend batched` run must produce byte-identical
+//! frequency). Results do not depend on the thread count, so the diff
+//! oracle extends across thread counts: a clean run at one thread count
+//! and a killed-then-resumed run at another must produce byte-identical
 //! artifacts, and the CI kill-resume job demands exactly that.
 
 use std::time::Duration;
 
-use shil::circuit::analysis::{BackendChoice, SweepEngine, TranOptions};
+use shil::circuit::analysis::{transient, SweepEngine, TranOptions};
 use shil::circuit::{Circuit, NodeId, SolveReport};
 use shil::observe::RunManifest;
 use shil::repro::diff_pair::{DiffPairOscillator, DiffPairParams};
@@ -108,14 +107,6 @@ fn main() {
         .collect();
 
     let threads = flag_value(&args, "--threads").and_then(|v| v.parse::<usize>().ok());
-    let backend = match flag_value(&args, "--backend").as_deref() {
-        None | Some("scalar") => BackendChoice::Scalar,
-        Some("batched") => BackendChoice::Batched {
-            lanes: BackendChoice::AUTO_LANES,
-        },
-        Some("auto") => BackendChoice::Auto,
-        Some(other) => panic!("unknown --backend {other:?} (scalar|batched|auto)"),
-    };
     let secs = |flag: &str| {
         flag_value(&args, flag)
             .and_then(|v| v.parse::<f64>().ok())
@@ -146,14 +137,12 @@ fn main() {
     manifest.push_config("quick", quick);
     manifest.push_config("resume", resume);
     manifest.push_config("points", points as u64);
-    manifest.push_config("backend", format!("{backend:?}"));
     log.info(
         "perf_sweep_started",
         &[
             ("points", (points as u64).into()),
             ("quick", quick.into()),
             ("resume", resume.into()),
-            ("backend", format!("{backend:?}").into()),
             (
                 "restored",
                 (checkpoint_file.as_ref().map_or(0, |cp| cp.restored().len()) as u64).into(),
@@ -161,35 +150,27 @@ fn main() {
         ],
     );
 
-    // Shared grid: all points step at the center frequency's resolution, so
-    // a batched block shares one step schedule (per-point grids would never
-    // match bit for bit and every lane would fall back to scalar).
+    // Shared grid: all points step at the center frequency's resolution.
     let period = paper::N as f64 / f_center;
-    // Node ids are stable across builds of the same params.
-    let node = injected_diff_pair(params, f_center).1;
-    let sweep = SweepEngine::new(threads)
-        .with_backend(backend)
-        .run_checkpointed_tran(
-            &freqs,
-            &policy,
-            &Budget::unlimited(),
-            checkpoint_file.as_ref(),
-            |_, &f_inj, item_budget| {
-                let (ckt, node) = injected_diff_pair(params, f_inj);
-                let opts = TranOptions::new(period / 96.0, periods * period)
-                    .with_ic(node, params.vcc + 0.05)
-                    .record_after(0.8 * periods * period)
-                    .with_budget(item_budget.clone())
-                    .with_step_retry_budget(policy.step_retry_budget);
-                (ckt, opts)
-            },
-            |_, _, res| {
-                let v = *res.node_voltage(node).expect("probed node").last().unwrap();
-                Ok((v, res.report))
-            },
-            |v: &f64| format!("{:016x}", v.to_bits()),
-            |s: &str| u64::from_str_radix(s, 16).ok().map(f64::from_bits),
-        );
+    let sweep = SweepEngine::new(threads).run_checkpointed(
+        &freqs,
+        &policy,
+        &Budget::unlimited(),
+        checkpoint_file.as_ref(),
+        |_, &f_inj, item_budget| {
+            let (ckt, node) = injected_diff_pair(params, f_inj);
+            let opts = TranOptions::new(period / 96.0, periods * period)
+                .with_ic(node, params.vcc + 0.05)
+                .record_after(0.8 * periods * period)
+                .with_budget(item_budget.clone())
+                .with_step_retry_budget(policy.step_retry_budget);
+            let res = transient(&ckt, &opts)?;
+            let v = *res.node_voltage(node).expect("probed node").last().unwrap();
+            Ok((v, res.report))
+        },
+        |v: &f64| format!("{:016x}", v.to_bits()),
+        |s: &str| u64::from_str_radix(s, 16).ok().map(f64::from_bits),
+    );
 
     log.info(
         "perf_sweep_finished",

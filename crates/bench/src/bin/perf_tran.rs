@@ -20,17 +20,12 @@
 //! JSONL). With `--metrics-out [path]` the process-wide metric registry is
 //! enabled and a run manifest lands next to the JSON artifact.
 //!
-//! Two further stages: the same 25 points re-swept on a shared fixed grid
-//! (anchored at the center frequency, so lanes share a step schedule)
-//! under the scalar vs the batched sweep backend at equal cores, asserting
-//! bitwise identity between the two — `--lanes <k>` overrides the lane
-//! width; and a three-tier (dense / sparse / GMRES+ILU) per-step ladder
-//! across system sizes, the measurement behind `SolverKind::Auto`'s
-//! crossovers. Both land in the
-//! JSON as `batched` and `auto_crossover`. A second ladder over small
-//! systems (9–25 unknowns) times the bypass certificate against plain
-//! refactorization, pinning the `TranOptions::REUSE_MIN_DIM` crossover; it
-//! lands as `reuse_threshold`.
+//! A three-tier (dense / sparse / GMRES+ILU) per-step ladder across system
+//! sizes, the measurement behind `SolverKind::Auto`'s crossovers, lands in
+//! the JSON as `auto_crossover`. A second ladder over small systems (9–25
+//! unknowns) times the bypass certificate against plain refactorization,
+//! pinning the `TranOptions::REUSE_MIN_DIM` crossover; it lands as
+//! `reuse_threshold`.
 //!
 //! Writes `results/BENCH_tran.json` for regression tracking. Pass
 //! `--quick` for a seconds-scale smoke run (same fields, shorter
@@ -41,7 +36,7 @@
 
 use std::time::Duration;
 
-use shil::circuit::analysis::{transient, BackendChoice, SolverKind, SweepEngine, TranOptions};
+use shil::circuit::analysis::{transient, SolverKind, SweepEngine, TranOptions};
 use shil::circuit::mna::MnaStructure;
 use shil::circuit::{Circuit, NodeId, TranResult};
 use shil::observe::{EventLog, RunManifest};
@@ -479,77 +474,6 @@ fn main() {
         ],
     );
 
-    // --- batched backend: the same 25 points on a shared fixed grid -------
-    // Lanes advance in lock-step only when they share a step schedule, so
-    // this sweep anchors every point's grid at the center frequency (the
-    // per-frequency grids above never share dt bits). Scalar vs batched on
-    // the same serial engine isolates the backend effect at equal cores,
-    // and the two sweeps must agree bit for bit.
-    let setup_fixed = |kind: SolverKind, reuse: bool| {
-        let period = paper::N as f64 / f_inj;
-        move |_: usize, &fi: &f64| {
-            let (ckt, node) = injected_diff_pair(params, fi, sections);
-            let mut opts = TranOptions::new(period / 96.0, sweep_periods * period)
-                .with_ic(node, params.vcc + 0.05)
-                .with_budget(harness_budget());
-            opts.solver = kind;
-            if !reuse {
-                opts.reuse_tolerance = 0.0;
-            }
-            let settle = 0.8 * opts.t_stop;
-            (ckt, opts.record_after(settle))
-        }
-    };
-    let lanes = {
-        let args: Vec<String> = std::env::args().collect();
-        args.iter()
-            .position(|a| a == "--lanes")
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or(BackendChoice::AUTO_LANES)
-    };
-    let (scalar_sweep25, t_scalar) = timed(|| {
-        SweepEngine::serial()
-            .with_backend(BackendChoice::Scalar)
-            .transient_sweep(&sweep, setup_fixed(SolverKind::Sparse, true))
-    });
-    let (batched_sweep25, t_batched) = timed(|| {
-        SweepEngine::serial()
-            .with_backend(BackendChoice::Batched { lanes })
-            .transient_sweep(&sweep, setup_fixed(SolverKind::Sparse, true))
-    });
-    for (i, (a, b)) in scalar_sweep25
-        .runs
-        .iter()
-        .zip(&batched_sweep25.runs)
-        .enumerate()
-    {
-        let a = a.as_ref().expect("scalar backend run");
-        let b = b.as_ref().expect("batched backend run");
-        assert_eq!(a.time, b.time, "batched point {i}: time axes differ");
-        assert_eq!(
-            a.node_voltage(node).unwrap(),
-            b.node_voltage(node).unwrap(),
-            "batched point {i}: scalar and batched waveforms differ"
-        );
-    }
-    let t_scalar = t_scalar.as_secs_f64();
-    let t_batched = t_batched.as_secs_f64();
-    let stats = batched_sweep25.batch;
-    let batched_per_step = 1e6 * t_batched / batched_sweep25.aggregate.attempts as f64;
-    log.info(
-        "batched_sweep25_measured",
-        &[
-            ("lanes", (lanes as u64).into()),
-            ("scalar_s", t_scalar.into()),
-            ("batched_s", t_batched.into()),
-            ("speedup", (t_scalar / t_batched).into()),
-            ("lanes_launched", (stats.lanes_launched as u64).into()),
-            ("lanes_retired", (stats.lanes_retired as u64).into()),
-            ("occupancy", stats.occupancy.into()),
-        ],
-    );
-
     let crossover = bench_crossover(log, params, f_inj, periods.min(60.0), reps);
     let reuse_threshold = bench_reuse_threshold(log, params, f_inj, periods.min(60.0), reps);
 
@@ -560,12 +484,7 @@ fn main() {
          \"iterative_crossover_measured_by\": \"BENCH_network.json\",\n  \
          \"reuse_threshold\": {},\n  \"sweep25_points\": 25,\n  \
          \"sweep25_serial_dense_s\": {:.6e},\n  \
-         \"sweep25_parallel_sparse_s\": {:.6e},\n  \"sweep25_speedup\": {:.3},\n  \
-         \"batched\": {{\n    \"lanes\": {},\n    \"block_size\": {},\n    \
-         \"per_step_us\": {:.4},\n    \"lanes_launched\": {},\n    \
-         \"lanes_retired\": {},\n    \"occupancy\": {:.4},\n    \
-         \"sweep25_scalar_s\": {:.6e},\n    \"sweep25_batched_s\": {:.6e},\n    \
-         \"sweep25_speedup\": {:.3}\n  }}\n}}\n",
+         \"sweep25_parallel_sparse_s\": {:.6e},\n  \"sweep25_speedup\": {:.3}\n}}\n",
         cores,
         quick,
         json_circuit(&paper_bench),
@@ -576,15 +495,6 @@ fn main() {
         t_serial,
         t_parallel,
         t_serial / t_parallel,
-        lanes,
-        lanes,
-        batched_per_step,
-        stats.lanes_launched,
-        stats.lanes_retired,
-        stats.occupancy,
-        t_scalar,
-        t_batched,
-        t_scalar / t_batched,
     );
     let path = results_dir().join("BENCH_tran.json");
     std::fs::write(&path, json).expect("write json");

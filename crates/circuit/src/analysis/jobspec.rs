@@ -15,7 +15,7 @@
 
 use shil_runtime::{checkpoint, Budget, CheckpointFile, SweepPolicy};
 
-use crate::analysis::{PolicySweep, SweepEngine, TranOptions};
+use crate::analysis::{transient, PolicySweep, SweepEngine, TranOptions};
 use crate::circuit::Circuit;
 use crate::error::CircuitError;
 use crate::netlist;
@@ -136,7 +136,7 @@ impl CompiledSweep {
         budget: &Budget,
         checkpoint: Option<&CheckpointFile>,
     ) -> PolicySweep<Vec<f64>> {
-        engine.run_checkpointed_tran(
+        engine.run_checkpointed(
             &self.spec.scales,
             policy,
             budget,
@@ -146,9 +146,7 @@ impl CompiledSweep {
                 let opts = TranOptions::new(self.spec.dt, self.spec.stop)
                     .with_budget(item_budget.clone())
                     .with_step_retry_budget(policy.step_retry_budget);
-                (scaled, opts)
-            },
-            |_, _, res| {
+                let res = transient(&scaled, &opts)?;
                 let finals: Vec<f64> = self
                     .probe_ids
                     .iter()

@@ -2,7 +2,6 @@
 
 mod ac;
 mod atlas;
-mod batch;
 mod checkpoint;
 mod dc;
 mod jobspec;
@@ -13,7 +12,6 @@ mod tran;
 
 pub use ac::{ac_impedance, AcOptions};
 pub use atlas::{AtlasMap, AtlasSpec, AtlasStats, CellOutcome, CompiledAtlas};
-pub use batch::{transient_batch, BatchStats};
 pub use dc::{dc_sweep, DcSweep};
 pub use jobspec::{decode_final_voltages, encode_final_voltages, CompiledSweep, NetlistSweepSpec};
 pub use op::{operating_point, operating_point_with_guess, OpOptions, OpSolution};
@@ -21,8 +19,5 @@ pub use steady::{
     classify_tail, transient_steady, LockVerdict, SteadyDetector, SteadyOptions, SteadyRun,
     DEFAULT_WINDOWS,
 };
-pub use sweep::{
-    BackendChoice, BatchedBackend, PolicySweep, ScalarBackend, SweepBackend, SweepEngine,
-    SweepItem, TranSweep, Wavefront,
-};
+pub use sweep::{PolicySweep, SweepEngine, SweepItem, TranSweep, Wavefront};
 pub use tran::{transient, SolverKind, TranOptions};

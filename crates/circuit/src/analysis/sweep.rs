@@ -27,7 +27,6 @@
 //! ```
 
 use std::collections::BTreeMap;
-use std::sync::Mutex;
 use std::time::Instant;
 
 use shil_numerics::parallel::{effective_parallelism, ordered_map};
@@ -41,158 +40,33 @@ use crate::error::CircuitError;
 use crate::report::SolveReport;
 use crate::trace::TranResult;
 
-use super::batch::{transient_batch, BatchStats};
 use super::checkpoint::{counters_to_report, report_to_counters};
 use super::tran::{transient, TranOptions};
-
-/// How a sweep's transient runs execute: one at a time, or lane-batched in
-/// lock-step blocks.
-///
-/// Every backend produces **bit-identical results** — trajectories, effort
-/// counters and errors — so the choice is purely a throughput decision (see
-/// [`transient_batch`] for why identity holds). `Auto` is the recommended
-/// default: small sweeps stay on the scalar path, larger ones batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BackendChoice {
-    /// [`BackendChoice::Scalar`] below [`BackendChoice::AUTO_THRESHOLD`]
-    /// items, [`BackendChoice::Batched`] with
-    /// [`BackendChoice::AUTO_LANES`] lanes at or above it.
-    #[default]
-    Auto,
-    /// One transient at a time per worker thread (the reference path).
-    Scalar,
-    /// Lock-step blocks of up to `lanes` parameter variants per worker
-    /// thread, sharing Jacobian stamping schedules and a grouped LU
-    /// refactorization.
-    Batched {
-        /// Maximum lanes advanced in lock-step per block.
-        lanes: usize,
-    },
-}
-
-impl BackendChoice {
-    /// Sweep size at which `Auto` switches to the batched backend. Below
-    /// this the block bring-up (schedule recording, batch scratch) is not
-    /// worth amortizing.
-    pub const AUTO_THRESHOLD: usize = 8;
-    /// Lane count `Auto` batches with: wide enough to amortize the grouped
-    /// elimination, small enough that one diverging lane wastes little.
-    pub const AUTO_LANES: usize = 8;
-
-    /// The backend actually used for an `items`-point sweep (never `Auto`;
-    /// a batched lane count is clamped to at least 1).
-    pub fn resolve(self, items: usize) -> BackendChoice {
-        match self {
-            BackendChoice::Auto if items >= Self::AUTO_THRESHOLD => BackendChoice::Batched {
-                lanes: Self::AUTO_LANES,
-            },
-            BackendChoice::Auto => BackendChoice::Scalar,
-            BackendChoice::Batched { lanes } => BackendChoice::Batched {
-                lanes: lanes.max(1),
-            },
-            k => k,
-        }
-    }
-}
-
-/// The execution seam between sweep orchestration (ordering, policy,
-/// checkpointing — the [`SweepEngine`]) and how a block of transient jobs
-/// actually runs. A future device backend (e.g. GPU lanes) slots in here
-/// without touching the engine.
-pub trait SweepBackend {
-    /// Jobs grouped per block (1 = one job at a time).
-    fn lanes(&self) -> usize;
-
-    /// Runs one block of jobs, returning per-job results in input order.
-    /// Results must be bit-identical to a scalar [`transient`] per job.
-    fn run_block(
-        &self,
-        jobs: Vec<(Circuit, TranOptions)>,
-    ) -> (Vec<Result<TranResult, CircuitError>>, BatchStats);
-}
-
-/// The reference backend: each job runs alone through [`transient`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ScalarBackend;
-
-impl SweepBackend for ScalarBackend {
-    fn lanes(&self) -> usize {
-        1
-    }
-
-    fn run_block(
-        &self,
-        jobs: Vec<(Circuit, TranOptions)>,
-    ) -> (Vec<Result<TranResult, CircuitError>>, BatchStats) {
-        let results = jobs
-            .into_iter()
-            .map(|(ckt, opts)| transient(&ckt, &opts))
-            .collect();
-        (results, BatchStats::default())
-    }
-}
-
-/// The lock-step lane backend over [`transient_batch`].
-#[derive(Debug, Clone, Copy)]
-pub struct BatchedBackend {
-    /// Maximum lanes per block.
-    pub lanes: usize,
-}
-
-impl SweepBackend for BatchedBackend {
-    fn lanes(&self) -> usize {
-        self.lanes.max(1)
-    }
-
-    fn run_block(
-        &self,
-        jobs: Vec<(Circuit, TranOptions)>,
-    ) -> (Vec<Result<TranResult, CircuitError>>, BatchStats) {
-        transient_batch(jobs)
-    }
-}
 
 /// Fans independent analyses across scoped worker threads with
 /// deterministic, input-ordered results.
 ///
-/// The engine is a thin policy object (a thread count plus a
-/// [`BackendChoice`]), cheap to build per sweep. Construction never spawns
-/// anything; threads live only for the duration of each call.
+/// The engine is a thin policy object (a thread count), cheap to build per
+/// sweep. Construction never spawns anything; threads live only for the
+/// duration of each call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SweepEngine {
     threads: usize,
-    backend: BackendChoice,
 }
 
 impl SweepEngine {
     /// An engine with the requested worker count (`None` → one per
-    /// available core, floor of 1) and the scalar backend.
+    /// available core, floor of 1).
     pub fn new(threads: Option<usize>) -> Self {
         SweepEngine {
             threads: effective_parallelism(threads),
-            backend: BackendChoice::Scalar,
         }
     }
 
     /// A strictly serial engine — the reference every parallel sweep must
     /// match bit-for-bit.
     pub fn serial() -> Self {
-        SweepEngine {
-            threads: 1,
-            backend: BackendChoice::Scalar,
-        }
-    }
-
-    /// Selects the transient execution backend for this engine's sweeps.
-    #[must_use]
-    pub fn with_backend(mut self, backend: BackendChoice) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// The configured (unresolved) backend choice.
-    pub fn backend(&self) -> BackendChoice {
-        self.backend
+        SweepEngine { threads: 1 }
     }
 
     /// The worker count this engine fans out to.
@@ -226,64 +100,28 @@ impl SweepEngine {
     {
         shil_observe::gauge_set("shil_sweep_threads", self.threads as f64);
         let _sweep_span = shil_observe::span("shil_sweep");
-        // Blocks of `lanes` jobs fan out across the pool; the scalar
-        // backend degenerates to one job per block, i.e. the classic
-        // per-item map. Results are input-ordered either way, and the
-        // batched backend is bit-identical per job, so the sweep output
-        // does not depend on the backend or the thread count.
-        let backend = self.backend.resolve(items.len());
-        let (scalar, batched);
-        let backend: &(dyn SweepBackend + Sync) = match backend {
-            BackendChoice::Batched { lanes } => {
-                batched = BatchedBackend { lanes };
-                &batched
-            }
-            _ => {
-                scalar = ScalarBackend;
-                &scalar
-            }
-        };
-        let indices: Vec<usize> = (0..items.len()).collect();
-        let blocks: Vec<&[usize]> = indices.chunks(backend.lanes()).collect();
-        let block_runs = ordered_map(&blocks, self.threads, |_, block| {
-            let started = std::time::Instant::now();
-            let jobs: Vec<(Circuit, TranOptions)> =
-                block.iter().map(|&i| setup(i, &items[i])).collect();
-            let (results, stats) = backend.run_block(jobs);
+        let runs = self.map(items, |i, item| {
+            let started = Instant::now();
+            let (ckt, opts) = setup(i, item);
+            let res = transient(&ckt, &opts);
             // Per-item throughput, recorded from inside the worker thread.
             // `shil_sweep_run_attempts` carries only integer-valued samples,
             // so its aggregates are bit-deterministic at any thread count
             // (see `tests/observe_metrics.rs`); the wall-time histogram is
-            // deterministic in count only (a batched block spreads its wall
-            // time evenly over its jobs).
-            let per_item = started.elapsed().as_secs_f64() / results.len().max(1) as f64;
-            for res in &results {
-                shil_observe::incr("shil_sweep_items_total");
-                shil_observe::observe("shil_sweep_item_seconds", per_item);
-                match res {
-                    Ok(r) => {
-                        shil_observe::observe("shil_sweep_run_attempts", r.report.attempts as f64)
-                    }
-                    Err(_) => shil_observe::incr("shil_sweep_failures_total"),
-                }
+            // deterministic in count only.
+            shil_observe::incr("shil_sweep_items_total");
+            shil_observe::observe("shil_sweep_item_seconds", started.elapsed().as_secs_f64());
+            match &res {
+                Ok(r) => shil_observe::observe("shil_sweep_run_attempts", r.report.attempts as f64),
+                Err(_) => shil_observe::incr("shil_sweep_failures_total"),
             }
-            (results, stats)
+            res
         });
-        let mut batch = BatchStats::default();
-        let mut runs: Vec<Result<TranResult, CircuitError>> = Vec::with_capacity(items.len());
-        for (block_results, stats) in block_runs {
-            batch.absorb(&stats);
-            runs.extend(block_results);
-        }
         let mut aggregate = SolveReport::new();
         for r in runs.iter().flatten() {
             aggregate.absorb(&r.report);
         }
-        TranSweep {
-            runs,
-            aggregate,
-            batch,
-        }
+        TranSweep { runs, aggregate }
     }
 }
 
@@ -301,24 +139,14 @@ fn outcome_metric(outcome: ItemOutcome) -> &'static str {
     }
 }
 
-/// One attempt's isolated outcome: the run's result, or a panic message.
-type Attempt<T> = Result<Result<(T, SolveReport), CircuitError>, String>;
-
-/// A lazily-computed batched block's memoized attempts: `None` until the
-/// block has run (or been skipped on cancellation); inner entries are
-/// taken once by their owning item.
-type BlockCell<T> = Mutex<Option<Vec<Option<Attempt<T>>>>>;
-
-/// The per-item retry loop of a policy sweep, shared by the live and
-/// prefilled paths: bounded retry-with-backoff around isolated attempts,
-/// ending in exactly one classified outcome. `first`, when given, is a
-/// pre-computed result consumed as attempt 1 without spending a live run;
-/// retries (and everything after) run live through `attempt`.
+/// The per-item retry loop of a policy sweep: bounded retry-with-backoff
+/// around isolated attempts, ending in exactly one classified outcome.
+/// `attempt` receives each attempt's budget (the sweep budget narrowed by
+/// `policy.item_timeout`) and returns the run's result, or a panic message.
 fn policy_loop<T>(
     policy: &SweepPolicy,
     sweep_budget: &Budget,
-    mut first: Option<Attempt<T>>,
-    mut attempt: impl FnMut(&Budget) -> Attempt<T>,
+    mut attempt: impl FnMut(&Budget) -> Result<Result<(T, SolveReport), CircuitError>, String>,
 ) -> (ItemOutcome, u32, Option<T>, SolveReport, Option<String>) {
     let mut tries: u32 = 0;
     let mut last_error: Option<String> = None;
@@ -328,14 +156,8 @@ fn policy_loop<T>(
         }
         tries += 1;
         let may_retry = (tries as usize) <= policy.max_retries;
-        let result = match first.take() {
-            Some(pre) => pre,
-            None => {
-                let attempt_budget = sweep_budget.child(policy.item_timeout);
-                attempt(&attempt_budget)
-            }
-        };
-        match result {
+        let attempt_budget = sweep_budget.child(policy.item_timeout);
+        match attempt(&attempt_budget) {
             Ok(Ok((value, report))) => {
                 let outcome = if report.escalated() {
                     ItemOutcome::Degraded
@@ -447,37 +269,6 @@ impl SweepEngine {
         E: Fn(&T) -> String + Sync,
         D: Fn(&str) -> Option<T> + Sync,
     {
-        self.run_checkpointed_inner(items, policy, budget, checkpoint, None, run, encode, decode)
-    }
-
-    /// [`SweepEngine::run_checkpointed`] with an optional *prefill*: a
-    /// provider that yields an item's pre-computed first attempt (from a
-    /// lock-step batched block), or `None` to attempt live. An item with a
-    /// prefill entry consumes it as attempt 1 — same retry, timeout,
-    /// outcome and checkpoint handling as a live attempt — and any retries
-    /// run live. The provider is consulted lazily, per item, from inside
-    /// the checkpoint-writing loop, so records append as items complete
-    /// (kill durability is identical to the scalar path) instead of after
-    /// all blocks have run.
-    #[allow(clippy::too_many_arguments)]
-    fn run_checkpointed_inner<I, T, F, E, D>(
-        &self,
-        items: &[I],
-        policy: &SweepPolicy,
-        budget: &Budget,
-        checkpoint: Option<&CheckpointFile>,
-        prefill: Option<&(dyn Fn(usize) -> Option<Attempt<T>> + Sync)>,
-        run: F,
-        encode: E,
-        decode: D,
-    ) -> PolicySweep<T>
-    where
-        I: Sync,
-        T: Send,
-        F: Fn(usize, &I, &Budget) -> Result<(T, SolveReport), CircuitError> + Sync,
-        E: Fn(&T) -> String + Sync,
-        D: Fn(&str) -> Option<T> + Sync,
-    {
         shil_observe::gauge_set("shil_sweep_threads", self.threads as f64);
         let _sweep_span = shil_observe::span("shil_policy_sweep");
         // The sweep budget layers the policy deadline (clock restarts at
@@ -513,9 +304,8 @@ impl SweepEngine {
                 }
             }
 
-            let first = prefill.and_then(|p| p(i));
             let (outcome, tries, value, report, last_error) =
-                policy_loop(policy, sweep_budget, first, |attempt_budget| {
+                policy_loop(policy, sweep_budget, |attempt_budget| {
                     isolate(|| run(i, item, attempt_budget))
                 });
             if policy.fail_fast && !outcome.is_success() {
@@ -583,123 +373,6 @@ impl SweepEngine {
             aggregate,
             cancelled,
         }
-    }
-
-    /// Transient-specific [`SweepEngine::run_checkpointed`] that honors the
-    /// engine's [`BackendChoice`]: with a batched backend, pending items are
-    /// first advanced in lock-step blocks and each block result is consumed
-    /// as the item's first attempt — retries, per-item timeouts, panic
-    /// isolation, outcome taxonomy and checkpoint records behave exactly as
-    /// on the scalar path (block results are bit-identical per item, see
-    /// [`transient_batch`]).
-    ///
-    /// `setup` builds the item's circuit and options with the item's
-    /// attempt budget threaded into the options; `post` reduces the
-    /// transient result to the item's value and effort report.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_checkpointed_tran<I, T, S, P, E, D>(
-        &self,
-        items: &[I],
-        policy: &SweepPolicy,
-        budget: &Budget,
-        checkpoint: Option<&CheckpointFile>,
-        setup: S,
-        post: P,
-        encode: E,
-        decode: D,
-    ) -> PolicySweep<T>
-    where
-        I: Sync,
-        T: Send,
-        S: Fn(usize, &I, &Budget) -> (Circuit, TranOptions) + Sync,
-        P: Fn(usize, &I, TranResult) -> Result<(T, SolveReport), CircuitError> + Sync,
-        E: Fn(&T) -> String + Sync,
-        D: Fn(&str) -> Option<T> + Sync,
-    {
-        let run = |i: usize, item: &I, attempt_budget: &Budget| {
-            let (ckt, opts) = setup(i, item, attempt_budget);
-            let res = transient(&ckt, &opts)?;
-            post(i, item, res)
-        };
-        let lanes = match self.backend.resolve(items.len()) {
-            BackendChoice::Batched { lanes } => lanes.max(1),
-            _ => {
-                return self.run_checkpointed_inner(
-                    items, policy, budget, checkpoint, None, run, encode, decode,
-                )
-            }
-        };
-
-        // Lazy block cells: pending (non-restored) items advance in
-        // lock-step blocks, but a block is computed only when the item pass
-        // first demands one of its items — so checkpoint records append as
-        // items complete (a `SIGKILL` mid-sweep keeps every finished
-        // block's records, exactly like the scalar path) and blocks past a
-        // cancellation point never run at all. The blocks see the same
-        // deadline and per-item timeouts as scalar attempts (children of
-        // the caller budget), started when the block actually runs. A block
-        // panic poisons no sibling block: every item of the panicking block
-        // consumes the panic as its first attempt and any retries run live
-        // under their own isolation.
-        let pending: Vec<usize> = (0..items.len())
-            .filter(|i| {
-                checkpoint
-                    .and_then(|cp| cp.restored().get(i))
-                    .map(|rec| !(rec.outcome.is_success() && decode(&rec.payload).is_some()))
-                    .unwrap_or(true)
-            })
-            .collect();
-        let blocks: Vec<&[usize]> = pending.chunks(lanes).collect();
-        // item index → (block ordinal, offset within block).
-        let mut block_of: Vec<Option<(usize, usize)>> = vec![None; items.len()];
-        for (b, block) in blocks.iter().enumerate() {
-            for (off, &i) in block.iter().enumerate() {
-                block_of[i] = Some((b, off));
-            }
-        }
-        let cells: Vec<BlockCell<T>> = blocks.iter().map(|_| Mutex::new(None)).collect();
-        let sweep_budget = budget.child(policy.deadline);
-        let take_prefill = |i: usize| -> Option<Attempt<T>> {
-            let (b, off) = block_of[i]?;
-            let mut cell = cells[b].lock().expect("block cell poisoned");
-            if cell.is_none() {
-                let block = blocks[b];
-                if sweep_budget.cancelled().is_some() {
-                    // Leave every item unfilled; the item pass classifies
-                    // them as Cancelled without starting an attempt.
-                    *cell = Some(block.iter().map(|_| None).collect());
-                } else {
-                    let jobs: Vec<(Circuit, TranOptions)> = block
-                        .iter()
-                        .map(|&i| setup(i, &items[i], &sweep_budget.child(policy.item_timeout)))
-                        .collect();
-                    *cell = Some(match isolate(|| transient_batch(jobs)) {
-                        Ok((results, _stats)) => block
-                            .iter()
-                            .zip(results)
-                            .map(|(&i, res)| {
-                                Some(isolate(|| res.and_then(|tr| post(i, &items[i], tr))))
-                            })
-                            .collect(),
-                        Err(panic_msg) => {
-                            block.iter().map(|_| Some(Err(panic_msg.clone()))).collect()
-                        }
-                    });
-                }
-            }
-            cell.as_mut().expect("cell just filled")[off].take()
-        };
-
-        self.run_checkpointed_inner(
-            items,
-            policy,
-            budget,
-            checkpoint,
-            Some(&take_prefill),
-            run,
-            encode,
-            decode,
-        )
     }
 }
 
@@ -835,7 +508,7 @@ impl SweepEngine {
                     shil_observe::incr("shil_sweep_warm_starts_total");
                 }
                 let (outcome, tries, value, report, last_error) =
-                    policy_loop(policy, sweep_budget, None, |attempt_budget| {
+                    policy_loop(policy, sweep_budget, |attempt_budget| {
                         isolate(|| run(i, &items[i], attempt_budget, seed))
                     });
                 if policy.fail_fast && !outcome.is_success() {
@@ -947,9 +620,6 @@ pub struct TranSweep {
     /// All successful runs' reports folded together
     /// (see [`SolveReport::absorb`]).
     pub aggregate: SolveReport,
-    /// Batched-backend execution stats folded over all blocks (all zeros
-    /// under the scalar backend, where nothing batches).
-    pub batch: BatchStats,
 }
 
 impl TranSweep {
@@ -1217,226 +887,6 @@ mod tests {
             assert_eq!(item.outcome, ItemOutcome::Cancelled);
         }
         assert!(sweep.cancelled);
-    }
-
-    #[test]
-    fn backend_choice_resolution() {
-        assert_eq!(BackendChoice::Auto.resolve(4), BackendChoice::Scalar);
-        assert_eq!(
-            BackendChoice::Auto.resolve(BackendChoice::AUTO_THRESHOLD),
-            BackendChoice::Batched {
-                lanes: BackendChoice::AUTO_LANES
-            }
-        );
-        assert_eq!(BackendChoice::Scalar.resolve(100), BackendChoice::Scalar);
-        assert_eq!(
-            BackendChoice::Batched { lanes: 0 }.resolve(2),
-            BackendChoice::Batched { lanes: 1 }
-        );
-    }
-
-    #[test]
-    fn batched_backend_sweep_is_bit_identical_to_scalar_backend() {
-        let scales: Vec<f64> = (0..10).map(|k| 0.7 + 0.05 * k as f64).collect();
-        let reference = SweepEngine::serial().transient_sweep(&scales, |_, s| oscillator_setup(s));
-        for backend in [
-            BackendChoice::Auto,
-            BackendChoice::Batched { lanes: 4 },
-            BackendChoice::Batched { lanes: 3 },
-            BackendChoice::Batched { lanes: 16 },
-        ] {
-            let sweep = SweepEngine::serial()
-                .with_backend(backend)
-                .transient_sweep(&scales, |_, s| oscillator_setup(s));
-            for (i, (a, b)) in reference.runs.iter().zip(&sweep.runs).enumerate() {
-                let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
-                assert_eq!(a.time, b.time, "time axis, run {i}, {backend:?}");
-                assert_eq!(a.columns, b.columns, "trace data, run {i}, {backend:?}");
-                assert_eq!(
-                    a.report.attempts, b.report.attempts,
-                    "attempts, run {i}, {backend:?}"
-                );
-                assert_eq!(
-                    a.report.factorizations, b.report.factorizations,
-                    "factorizations, run {i}, {backend:?}"
-                );
-                assert_eq!(
-                    a.report.reuses, b.report.reuses,
-                    "reuses, run {i}, {backend:?}"
-                );
-            }
-            assert_eq!(sweep.aggregate.attempts, reference.aggregate.attempts);
-            assert_eq!(sweep.aggregate.reuses, reference.aggregate.reuses);
-        }
-    }
-
-    #[test]
-    fn checkpointed_tran_batched_matches_the_scalar_policy_sweep() {
-        let scales: Vec<f64> = (0..9).map(|k| 0.75 + 0.06 * k as f64).collect();
-        let reference = SweepEngine::serial().run_with_policy(
-            &scales,
-            &SweepPolicy::default(),
-            &Budget::unlimited(),
-            oscillator_runner,
-        );
-        let setup = |_: usize, scale: &f64, budget: &Budget| {
-            let (ckt, opts) = oscillator_setup(scale);
-            (ckt, opts.with_budget(budget.clone()))
-        };
-        let post = |_: usize, _: &f64, res: TranResult| {
-            let v = *res.node_voltage(1).unwrap().last().unwrap();
-            Ok((v, res.report))
-        };
-        for lanes in [3usize, 8] {
-            let sweep = SweepEngine::serial()
-                .with_backend(BackendChoice::Batched { lanes })
-                .run_checkpointed_tran(
-                    &scales,
-                    &SweepPolicy::default(),
-                    &Budget::unlimited(),
-                    None,
-                    setup,
-                    post,
-                    |v| format!("{:016x}", v.to_bits()),
-                    |s| u64::from_str_radix(s, 16).ok().map(f64::from_bits),
-                );
-            assert!(!sweep.cancelled);
-            for (i, (a, b)) in reference.items.iter().zip(&sweep.items).enumerate() {
-                assert_eq!(a.outcome, b.outcome, "outcome, item {i}, lanes {lanes}");
-                assert_eq!(a.tries, b.tries, "tries, item {i}, lanes {lanes}");
-                assert_eq!(
-                    a.value.map(f64::to_bits),
-                    b.value.map(f64::to_bits),
-                    "value bits, item {i}, lanes {lanes}"
-                );
-                assert_eq!(
-                    a.report.attempts, b.report.attempts,
-                    "report attempts, item {i}, lanes {lanes}"
-                );
-            }
-            assert_eq!(sweep.aggregate.attempts, reference.aggregate.attempts);
-            assert_eq!(sweep.aggregate.halvings, reference.aggregate.halvings);
-            assert_eq!(sweep.aggregate.fallbacks, reference.aggregate.fallbacks);
-            assert_eq!(
-                sweep.aggregate.factorizations,
-                reference.aggregate.factorizations
-            );
-            assert_eq!(sweep.aggregate.reuses, reference.aggregate.reuses);
-        }
-    }
-
-    #[test]
-    fn checkpointed_tran_batched_resumes_from_a_torn_scalar_checkpoint() {
-        // A checkpoint written by the scalar backend must resume cleanly
-        // under the batched backend (and vice versa — records are
-        // backend-agnostic because per-item results are bit-identical).
-        let dir = std::env::temp_dir().join(format!("shil_batch_ckpt_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("resume_batched.jsonl");
-        std::fs::remove_file(&path).ok();
-
-        let scales: Vec<f64> = (0..8).map(|k| 0.8 + 0.05 * k as f64).collect();
-        let fp = shil_runtime::checkpoint::fingerprint("batched-sweep-test", &scales);
-        let encode = |v: &f64| format!("{:016x}", v.to_bits());
-        let decode = |s: &str| u64::from_str_radix(s, 16).ok().map(f64::from_bits);
-
-        let reference = SweepEngine::serial().run_with_policy(
-            &scales,
-            &SweepPolicy::default(),
-            &Budget::unlimited(),
-            oscillator_runner,
-        );
-
-        {
-            let cp = CheckpointFile::open(&path, &fp, scales.len()).unwrap();
-            SweepEngine::serial().run_checkpointed(
-                &scales,
-                &SweepPolicy::default(),
-                &Budget::unlimited(),
-                Some(&cp),
-                oscillator_runner,
-                encode,
-                decode,
-            );
-        }
-        let text = std::fs::read_to_string(&path).unwrap();
-        let keep: Vec<&str> = text.lines().take(4).collect(); // header + 3 records
-        let torn = format!(
-            "{}\n{}",
-            keep.join("\n"),
-            &text.lines().nth(4).unwrap()[..20]
-        );
-        std::fs::write(&path, torn).unwrap();
-
-        let cp = CheckpointFile::open(&path, &fp, scales.len()).unwrap();
-        assert_eq!(cp.restored().len(), 3);
-        let resumed = SweepEngine::serial()
-            .with_backend(BackendChoice::Batched { lanes: 4 })
-            .run_checkpointed_tran(
-                &scales,
-                &SweepPolicy::default(),
-                &Budget::unlimited(),
-                Some(&cp),
-                |_: usize, scale: &f64, budget: &Budget| {
-                    let (ckt, opts) = oscillator_setup(scale);
-                    (ckt, opts.with_budget(budget.clone()))
-                },
-                |_: usize, _: &f64, res: TranResult| {
-                    let v = *res.node_voltage(1).unwrap().last().unwrap();
-                    Ok((v, res.report))
-                },
-                encode,
-                decode,
-            );
-        let restored_count: usize = resumed.items.iter().map(|i| i.restored as usize).sum();
-        assert_eq!(restored_count, 3);
-        for (i, (a, b)) in reference.items.iter().zip(&resumed.items).enumerate() {
-            assert_eq!(a.outcome, b.outcome, "outcome, item {i}");
-            assert_eq!(
-                a.value.map(f64::to_bits),
-                b.value.map(f64::to_bits),
-                "value bits, item {i}"
-            );
-        }
-        assert_eq!(resumed.aggregate.attempts, reference.aggregate.attempts);
-        assert_eq!(resumed.aggregate.reuses, reference.aggregate.reuses);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn checkpointed_tran_panicking_post_is_isolated_per_item() {
-        // A post hook that panics for one item must not poison its block
-        // siblings, and the item itself classifies as Panicked after its
-        // live retries reproduce the panic under per-item isolation.
-        let scales: Vec<f64> = (0..6).map(|k| 0.8 + 0.05 * k as f64).collect();
-        let sweep = SweepEngine::serial()
-            .with_backend(BackendChoice::Batched { lanes: 6 })
-            .run_checkpointed_tran(
-                &scales,
-                &SweepPolicy::default(),
-                &Budget::unlimited(),
-                None,
-                |_: usize, scale: &f64, budget: &Budget| {
-                    let (ckt, opts) = oscillator_setup(scale);
-                    (ckt, opts.with_budget(budget.clone()))
-                },
-                |i: usize, _: &f64, res: TranResult| {
-                    if i == 2 {
-                        panic!("deliberate post panic on item {i}");
-                    }
-                    let v = *res.node_voltage(1).unwrap().last().unwrap();
-                    Ok((v, res.report))
-                },
-                |v| format!("{:016x}", v.to_bits()),
-                |s| u64::from_str_radix(s, 16).ok().map(f64::from_bits),
-            );
-        assert_eq!(sweep.items[2].outcome, ItemOutcome::Panicked);
-        assert!(sweep.items[2]
-            .error
-            .as_deref()
-            .unwrap()
-            .contains("deliberate post panic"));
-        assert_eq!(sweep.ok_count(), 5);
     }
 
     #[test]

@@ -110,18 +110,9 @@ pub struct TranOptions {
     pub max_newton_iter: usize,
     /// Maximum recursive step halvings before giving up.
     pub max_halvings: usize,
-    /// Total step rejections allowed across the whole run. Each rejected
-    /// step costs a wasted Newton solve plus two half-steps; this budget
-    /// bounds the worst-case slowdown of a pathologically stiff (or
-    /// fault-injected) circuit before the analysis gives up with the last
-    /// step's diagnostics.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use TranOptions::with_step_retry_budget (or with_policy with a \
-                shil_runtime::SweepPolicy, whose step_retry_budget is the \
-                canonical home for this knob)"
-    )]
-    pub retry_budget: usize,
+    /// Total step rejections allowed across the whole run (see
+    /// [`TranOptions::with_step_retry_budget`]).
+    step_retry_budget: usize,
     /// Execution budget for the whole run: cancellation tokens and/or a
     /// wall-clock deadline, checked cooperatively before the operating-point
     /// solve, at every step boundary, and inside every Newton iteration.
@@ -186,7 +177,6 @@ impl TranOptions {
                 "need finite 0 < dt < t_stop, got dt = {dt}, t_stop = {t_stop}"
             )));
         }
-        #[allow(deprecated)]
         Ok(TranOptions {
             dt,
             t_stop,
@@ -198,7 +188,7 @@ impl TranOptions {
             abstol: 1e-9,
             max_newton_iter: 80,
             max_halvings: 14,
-            retry_budget: SweepPolicy::default().step_retry_budget,
+            step_retry_budget: SweepPolicy::default().step_retry_budget,
             budget: Budget::unlimited(),
             solver: SolverKind::default(),
             reuse_tolerance: BypassSolver::<DenseSolver>::DEFAULT_ETA,
@@ -253,31 +243,29 @@ impl TranOptions {
         self
     }
 
-    /// Sets the total step-rejection budget for the run — the supported
-    /// replacement for writing the deprecated `retry_budget` field.
+    /// Sets the total step-rejection budget for the run. Each rejected
+    /// step costs a wasted Newton solve plus two half-steps; this budget
+    /// bounds the worst-case slowdown of a pathologically stiff (or
+    /// fault-injected) circuit before the analysis gives up with the last
+    /// step's diagnostics. Defaults to [`SweepPolicy`]'s
+    /// `step_retry_budget`.
     #[must_use]
     pub fn with_step_retry_budget(mut self, budget: usize) -> Self {
-        #[allow(deprecated)]
-        {
-            self.retry_budget = budget;
-        }
+        self.step_retry_budget = budget;
         self
     }
 
     /// Applies the retry knobs of a [`SweepPolicy`] — currently its
     /// `step_retry_budget`, the canonical home for the per-run rejection
-    /// budget that the deprecated `retry_budget` field used to own.
+    /// budget.
     #[must_use]
     pub fn with_policy(self, policy: &SweepPolicy) -> Self {
         self.with_step_retry_budget(policy.step_retry_budget)
     }
 
-    /// The total step rejections allowed across the run (reads the
-    /// deprecated `retry_budget` field so struct-built options keep
-    /// working).
+    /// The total step rejections allowed across the run.
     pub fn step_retry_budget(&self) -> usize {
-        #[allow(deprecated)]
-        self.retry_budget
+        self.step_retry_budget
     }
 
     /// Seeds the run from a complete solution vector (see
@@ -302,7 +290,8 @@ impl TranOptions {
 /// fail safe, never certify against an infinite threshold — or when the
 /// system is below [`TranOptions::reuse_min_dim`], where the certificate's
 /// residual check costs more than refactorizing. One chokepoint shared by
-/// the scalar and batched paths so both stay bit-identical.
+/// [`transient`] and the steady-state runner, so both pick the same
+/// tolerance.
 pub(crate) fn effective_eta(opts: &TranOptions, n: usize) -> f64 {
     if !opts.reuse_tolerance.is_finite() || n < opts.reuse_min_dim {
         0.0
@@ -314,7 +303,7 @@ pub(crate) fn effective_eta(opts: &TranOptions, n: usize) -> f64 {
 /// Builds the typed cooperative-stop error for a tripped budget and counts
 /// it. The best iterate travels with the error so a deadline-bounded run
 /// still hands back where the solve got to.
-pub(crate) fn cancelled_err(budget: &Budget, best_iterate: Vec<f64>) -> CircuitError {
+fn cancelled_err(budget: &Budget, best_iterate: Vec<f64>) -> CircuitError {
     shil_observe::incr("shil_circuit_tran_cancellations_total");
     CircuitError::Numerics(NumericsError::Cancelled {
         best_iterate,
@@ -324,7 +313,7 @@ pub(crate) fn cancelled_err(budget: &Budget, best_iterate: Vec<f64>) -> CircuitE
 
 /// NaN-propagating infinity norm: `f64::max` would silently discard NaN
 /// entries and report a poisoned residual as converged.
-pub(crate) fn inf_norm(v: &[f64]) -> f64 {
+fn inf_norm(v: &[f64]) -> f64 {
     let mut m = 0.0f64;
     for x in v {
         if x.is_nan() {
@@ -340,16 +329,16 @@ pub(crate) fn inf_norm(v: &[f64]) -> f64 {
 /// step performs zero heap allocation (the pre-sparse engine cloned the
 /// Jacobian and allocated the step vector on every Newton iteration).
 pub(crate) struct Workspace<S: LinearSolver> {
-    pub(crate) r: Vec<f64>,
-    pub(crate) r_trial: Vec<f64>,
-    pub(crate) xt: Vec<f64>,
+    r: Vec<f64>,
+    r_trial: Vec<f64>,
+    xt: Vec<f64>,
     /// Newton iterate for the step in flight; copied out only on success so
     /// a failed step leaves the caller's state untouched for the retry.
-    pub(crate) x_new: Vec<f64>,
-    pub(crate) neg_r: Vec<f64>,
-    pub(crate) dx: Vec<f64>,
-    pub(crate) jac: S::Matrix,
-    pub(crate) jac_trial: S::Matrix,
+    x_new: Vec<f64>,
+    neg_r: Vec<f64>,
+    dx: Vec<f64>,
+    jac: S::Matrix,
+    jac_trial: S::Matrix,
     pub(crate) solver: BypassSolver<S>,
 }
 
@@ -470,11 +459,11 @@ fn newton_tran<S: LinearSolver>(
 
 /// Advances from `t0` to `t0 + dt`, recursively halving on Newton failure.
 ///
-/// Every rejection is charged against `opts.retry_budget`; once the run has
-/// spent it, the failure propagates with the diagnostics of the step that
-/// exhausted it instead of retrying indefinitely.
+/// Every rejection is charged against `opts.step_retry_budget()`; once the
+/// run has spent it, the failure propagates with the diagnostics of the
+/// step that exhausted it instead of retrying indefinitely.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn advance<S: LinearSolver>(
+fn advance<S: LinearSolver>(
     ckt: &Circuit,
     structure: &MnaStructure,
     x: &mut [f64],
@@ -554,7 +543,7 @@ pub(crate) fn advance<S: LinearSolver>(
 ///   time axis or non-finite initial conditions.
 /// - [`CircuitError::ConvergenceFailure`] if a step cannot be solved even
 ///   after `max_halvings` recursive halvings, or once the run's
-///   `retry_budget` of step rejections is spent.
+///   step-retry budget of rejections is spent.
 /// - Errors from the initial operating-point solve (unless `use_ic`).
 ///
 /// See the crate-level example for typical usage.
@@ -642,9 +631,9 @@ pub(crate) fn validate_options(opts: &TranOptions) -> Result<(), CircuitError> {
 }
 
 /// The state a transient run carries between steps, produced by
-/// [`tran_init`] and consumed by [`run_steps_from`]. Shared by the scalar
-/// main loop and the batched backend's per-lane bring-up, so both paths
-/// initialize identically by construction.
+/// [`tran_init`] and consumed by [`run_steps_from`]. Shared by the
+/// transient main loop and the steady-state runner, so both initialize
+/// identically by construction.
 pub(crate) struct TranInit {
     pub(crate) x: Vec<f64>,
     pub(crate) state: DynamicState,
@@ -725,9 +714,9 @@ pub(crate) fn tran_init(
 }
 
 /// Advances steps `first_step..steps` of the uniform grid, recording into
-/// `result`. This is the scalar main loop; the batched backend re-enters it
-/// mid-run when a lane retires from its block, which is why the starting
-/// step is a parameter.
+/// `result`. This is the transient main loop; the steady-state runner
+/// calls it one chunk of steps at a time, which is why the starting step
+/// is a parameter.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_steps_from<S: LinearSolver>(
     ckt: &Circuit,
@@ -806,12 +795,7 @@ fn transient_impl<S: LinearSolver>(
 
 /// Initializes capacitor voltages and inductor voltages/currents from the
 /// starting solution.
-pub(crate) fn seed_state(
-    ckt: &Circuit,
-    structure: &MnaStructure,
-    x: &[f64],
-    state: &mut DynamicState,
-) {
+fn seed_state(ckt: &Circuit, structure: &MnaStructure, x: &[f64], state: &mut DynamicState) {
     use crate::device::Device;
     for (di, dev) in ckt.devices().iter().enumerate() {
         match dev {
@@ -1064,20 +1048,9 @@ mod tests {
     }
 
     #[test]
-    fn deprecated_retry_budget_field_and_builder_agree() {
-        // The deprecated field remains the storage; both write paths must
-        // be observable through the supported accessor.
+    fn step_retry_budget_builder_and_policy_agree() {
         let via_builder = TranOptions::new(1e-6, 1e-3).with_step_retry_budget(8);
-        let mut via_field = TranOptions::new(1e-6, 1e-3);
-        #[allow(deprecated)]
-        {
-            via_field.retry_budget = 8;
-        }
         assert_eq!(via_builder.step_retry_budget(), 8);
-        assert_eq!(
-            via_builder.step_retry_budget(),
-            via_field.step_retry_budget()
-        );
         let via_policy = TranOptions::new(1e-6, 1e-3).with_policy(&shil_runtime::SweepPolicy {
             step_retry_budget: 8,
             ..shil_runtime::SweepPolicy::default()

@@ -309,7 +309,22 @@ pub fn angle_neg_i1<N: Nonlinearity + ?Sized>(
     n: u32,
     opts: &HarmonicOptions,
 ) -> f64 {
-    (-i1_injected(f, amplitude, vi, phi, n, opts)).arg()
+    neg_angle(i1_injected(f, amplitude, vi, phi, n, opts))
+}
+
+/// `∠−I₁` of a fundamental phasor `I₁`, in `(−π, π]`. `atan2` returns
+/// `−π` when `−I₁` sits on the negative real axis with a `−0.0` imaginary
+/// part, or a negative one too small to move the angle off `−π`; that is
+/// the same angle as `π`.
+/// Every stored `∠−I₁` (the grid, the phase track, [`angle_neg_i1`]) is
+/// computed here.
+pub(crate) fn neg_angle(i1: Complex64) -> f64 {
+    let angle = (-i1).arg();
+    if angle == -std::f64::consts::PI {
+        std::f64::consts::PI
+    } else {
+        angle
+    }
 }
 
 #[cfg(test)]
@@ -453,6 +468,26 @@ mod tests {
         // −I₁ is a positive real number ⇒ angle 0 (the §II natural case).
         let ang = angle_neg_i1(&f, 0.5, 0.0, 0.0, 3, &opts());
         assert!(ang.abs() < 1e-12);
+    }
+
+    #[test]
+    fn angle_neg_i1_stays_in_the_half_open_range() {
+        // Van der Pol at n = 1, φ = 0: I₁ is real and positive up to an
+        // imaginary part of ~1.7e-20, so `atan2` of −I₁ rounds to exactly
+        // −π. The mirror property test in `tests/precharacterize.rs` met
+        // this case at n = 1, φ = 0.
+        let f = Polynomial::van_der_pol(5e-3, 4e-3).unwrap();
+        let opts = HarmonicOptions { samples: 64 };
+        let i1 = i1_injected(&f, 1.25, 0.027, 0.0, 1, &opts);
+        assert_eq!((-i1).arg(), -PI, "the case must reach the branch cut");
+        assert_eq!(
+            angle_neg_i1(&f, 1.25, 0.027, 0.0, 1, &opts).to_bits(),
+            PI.to_bits()
+        );
+        assert_eq!(neg_angle(Complex64::new(1.0, 0.0)).to_bits(), PI.to_bits());
+        assert_eq!(neg_angle(Complex64::new(1.0, -0.0)).to_bits(), PI.to_bits());
+        assert_eq!(neg_angle(Complex64::new(-1.0, 0.0)), 0.0);
+        assert_eq!(neg_angle(Complex64::new(0.0, 1.0)), -PI / 2.0);
     }
 
     #[test]

@@ -46,7 +46,7 @@ use shil_numerics::{wrap_angle, Grid2};
 use crate::cache::{self, NaturalKey, PrecharCache, PrecharKey, Precharacterization};
 use crate::describing::{natural_oscillation, NaturalOptions, NaturalOscillation};
 use crate::error::ShilError;
-use crate::harmonics::{HarmonicOptions, HarmonicTable};
+use crate::harmonics::{neg_angle, HarmonicOptions, HarmonicTable};
 use crate::nonlinearity::Nonlinearity;
 use crate::tank::Tank;
 
@@ -194,7 +194,7 @@ pub fn precharacterize<N: Nonlinearity + Sync + ?Sized>(
             let a = amps[j0 + dj];
             for (i, &phi) in phis[..half].iter().enumerate() {
                 let i1 = table.i1(nonlinearity, a, vi, phi, &mut buf);
-                let (tf, angle) = (-r * i1.re / (a / 2.0), half_open((-i1).arg()));
+                let (tf, angle) = (-r * i1.re / (a / 2.0), neg_angle(i1));
                 tf_row[i] = tf;
                 angle_row[i] = angle;
                 let mirror = nx - 1 - i;
@@ -226,16 +226,6 @@ pub fn precharacterize<N: Nonlinearity + Sync + ?Sized>(
     let tf_grid = Grid2::from_data(phis.clone(), amps.to_vec(), tf_data)?;
     let angle_grid = Grid2::from_data(phis, amps.to_vec(), angle_data)?;
     Ok((tf_grid, angle_grid))
-}
-
-/// An angle from `atan2` kept in `(−π, π]`: a `−0.0` imaginary part on
-/// the negative real axis gives `−π`, the same angle as `π`.
-fn half_open(angle: f64) -> f64 {
-    if angle == -std::f64::consts::PI {
-        std::f64::consts::PI
-    } else {
-        angle
-    }
 }
 
 /// `∠−I₁` at `2π − φ` from `∠−I₁` at `φ`: the conjugate's angle, kept in
@@ -505,7 +495,7 @@ impl<'a, N: Nonlinearity + Sync + ?Sized, T: Tank + Sync + ?Sized> ShilAnalysis<
             .map(|line| {
                 line.points
                     .iter()
-                    .map(|p| (-table.i1(nonlinearity, p.y, vi, p.x, &mut buf)).arg())
+                    .map(|p| neg_angle(table.i1(nonlinearity, p.y, vi, p.x, &mut buf)))
                     .collect()
             })
             .collect();
@@ -1047,7 +1037,7 @@ impl<'a, N: Nonlinearity + Sync + ?Sized, T: Tank + Sync + ?Sized> ShilAnalysis<
                 .prechar
                 .table
                 .i1(self.nonlinearity, a, self.vi, phi, buf);
-            (-self.prechar.r * i1.re / (a / 2.0) - 1.0, (-i1).arg())
+            (-self.prechar.r * i1.re / (a / 2.0) - 1.0, neg_angle(i1))
         };
         let mut a_prev = a_guess * (1.0 + 1e-6);
         let mut r_prev = eval(a_prev).0;
@@ -1415,9 +1405,6 @@ mod tests {
         // A node at exactly π is its own conjugate's angle: it mirrors to
         // π, not to −π, which lies outside (−π, π].
         assert_eq!(mirror_angle(PI).to_bits(), PI.to_bits());
-        assert_eq!(half_open(-PI).to_bits(), PI.to_bits());
-        assert_eq!(half_open(PI).to_bits(), PI.to_bits());
-        assert_eq!(half_open(-3.0), -3.0);
         assert_eq!(mirror_angle(0.0).to_bits(), 0.0f64.to_bits());
         assert_eq!(mirror_angle(-0.0).to_bits(), 0.0f64.to_bits());
         assert_eq!(mirror_angle(1.25), -1.25);

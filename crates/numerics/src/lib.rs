@@ -29,9 +29,6 @@
 //! - [`iterative`] — restarted GMRES(m) with an ILU(0) preconditioner over
 //!   the same CSR pattern: the large-N [`solver::LinearSolver`] tier, with
 //!   certified solves and exact-LU fallback.
-//! - [`batch`] — lane-batched structure-of-arrays refactorization for
-//!   lock-step parameter sweeps, bit-identical per lane to the scalar
-//!   kernels.
 //! - [`parallel`] — deterministic scoped-thread fan-out
 //!   ([`parallel::ordered_map`]).
 //!
@@ -48,7 +45,6 @@
 //! # }
 //! ```
 
-pub mod batch;
 pub mod complex;
 pub mod contour;
 pub mod fallback;

@@ -443,36 +443,6 @@ impl<S: LinearSolver> BypassSolver<S> {
         rhs: &[f64],
         dx: &mut [f64],
     ) -> Result<StepKind, NumericsError> {
-        if let Some(kind) = self.try_reuse(a, rhs, dx)? {
-            return Ok(kind);
-        }
-        self.refactorize_solve(a, rhs, dx)
-    }
-
-    /// The reuse half of [`solve_step`](Self::solve_step): validates the
-    /// system and attempts a certified stale-factorization solve.
-    ///
-    /// Returns `Ok(Some(StepKind::Reused))` when the refinement certificate
-    /// accepted the step (`dx` holds the solution), `Ok(None)` when a fresh
-    /// factorization is required (`dx` contents are unspecified). Batched
-    /// callers use this to collect the lanes that need refactorization and
-    /// eliminate them together; `try_reuse` followed by
-    /// [`refactorize_solve`](Self::refactorize_solve) is exactly
-    /// `solve_step`.
-    ///
-    /// # Errors
-    ///
-    /// [`NumericsError::NonFinite`] if `a` or `rhs` contains NaN/±Inf.
-    ///
-    /// # Panics
-    ///
-    /// Panics on slice-length mismatches.
-    pub fn try_reuse(
-        &mut self,
-        a: &S::Matrix,
-        rhs: &[f64],
-        dx: &mut [f64],
-    ) -> Result<Option<StepKind>, NumericsError> {
         let n = self.inner.dim();
         assert_eq!(rhs.len(), n, "rhs length mismatch");
         assert_eq!(dx.len(), n, "solution length mismatch");
@@ -524,67 +494,16 @@ impl<S: LinearSolver> BypassSolver<S> {
             }
             if certified {
                 self.reuses += 1;
-                return Ok(Some(StepKind::Reused));
+                return Ok(StepKind::Reused);
             }
         }
 
-        Ok(None)
-    }
-
-    /// The factorization half of [`solve_step`](Self::solve_step):
-    /// refactorizes `a` and solves `A·dx = rhs` with the fresh factors.
-    ///
-    /// # Errors
-    ///
-    /// - [`NumericsError::NonFinite`] if `a` contains NaN/±Inf.
-    /// - [`NumericsError::SingularMatrix`] if elimination breaks down.
-    ///
-    /// # Panics
-    ///
-    /// Panics on slice-length mismatches.
-    pub fn refactorize_solve(
-        &mut self,
-        a: &S::Matrix,
-        rhs: &[f64],
-        dx: &mut [f64],
-    ) -> Result<StepKind, NumericsError> {
-        let n = self.inner.dim();
-        assert_eq!(rhs.len(), n, "rhs length mismatch");
-        assert_eq!(dx.len(), n, "solution length mismatch");
         self.inner.refactorize(a)?;
         self.force_refactorize = false;
         self.factorizations += 1;
         dx.copy_from_slice(rhs);
         self.inner.solve_in_place(dx);
         Ok(StepKind::Factorized)
-    }
-
-    /// Solves `A·dx = rhs` with the current factorization, counting it as a
-    /// fresh factorization step.
-    ///
-    /// This is the tail of [`refactorize_solve`](Self::refactorize_solve)
-    /// for callers that computed the factors *externally* (the batched
-    /// elimination kernel installs factors for several lanes at once and
-    /// then completes each lane's step through here).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no factorization is stored or on length mismatches.
-    pub fn solve_with_installed_factors(&mut self, rhs: &[f64], dx: &mut [f64]) {
-        assert!(
-            self.inner.is_factorized(),
-            "solve_with_installed_factors before a factorization was installed"
-        );
-        self.force_refactorize = false;
-        self.factorizations += 1;
-        dx.copy_from_slice(rhs);
-        self.inner.solve_in_place(dx);
-    }
-
-    /// Mutable access to the wrapped solver (crate-internal: the batched
-    /// refactorization kernel installs factors directly into it).
-    pub(crate) fn inner_mut(&mut self) -> &mut S {
-        &mut self.inner
     }
 }
 

@@ -364,7 +364,7 @@ pub struct SparseSolver {
 /// `O(nnz(LU))` in both arithmetic *and* memory traffic while staying
 /// bitwise identical to the dense kernel.
 #[derive(Debug, Clone)]
-pub(crate) struct CompressedLu {
+struct CompressedLu {
     /// Row start offsets into `l_idx`/`l_val`; length `n + 1`.
     l_ptr: Vec<usize>,
     l_idx: Vec<u32>,
@@ -394,16 +394,6 @@ impl CompressedLu {
     /// vectors keep their capacity across refactorizations, so this stops
     /// allocating once the fill level stabilizes.
     fn load(&mut self, lu: &[f64], n: usize) {
-        self.load_strided(lu, n, 1, 0);
-    }
-
-    /// [`load`](Self::load) over a lane-interleaved buffer: logical entry
-    /// `(i, j)` of lane `lane` lives at `lu[(i*n + j) * stride + lane]`.
-    /// With `stride == 1`, `lane == 0` this is exactly `load`; the batched
-    /// elimination kernel uses it to harvest each lane's factors out of the
-    /// shared structure-of-arrays buffer with the identical nonzero
-    /// selection and ordering.
-    pub(crate) fn load_strided(&mut self, lu: &[f64], n: usize, stride: usize, lane: usize) {
         self.l_idx.clear();
         self.l_val.clear();
         self.u_idx.clear();
@@ -411,18 +401,17 @@ impl CompressedLu {
         for i in 0..n {
             self.l_ptr[i] = self.l_idx.len();
             self.u_ptr[i] = self.u_idx.len();
-            for j in 0..i {
-                let v = lu[(i * n + j) * stride + lane];
+            let row = &lu[i * n..(i + 1) * n];
+            for (j, &v) in row[..i].iter().enumerate() {
                 if v != 0.0 {
                     self.l_idx.push(j as u32);
                     self.l_val.push(v);
                 }
             }
-            self.diag[i] = lu[(i * n + i) * stride + lane];
-            for j in (i + 1)..n {
-                let v = lu[(i * n + j) * stride + lane];
+            self.diag[i] = row[i];
+            for (j, &v) in row[i + 1..].iter().enumerate() {
                 if v != 0.0 {
-                    self.u_idx.push(j as u32);
+                    self.u_idx.push((i + 1 + j) as u32);
                     self.u_val.push(v);
                 }
             }
@@ -496,45 +485,6 @@ impl SparseSolver {
     /// The fill-reducing ordering in use, if any.
     pub fn ordering(&self) -> Option<&[usize]> {
         self.ordering.as_ref().map(|(o, _)| o.as_slice())
-    }
-
-    /// Marks the stored factorization stale, mirroring the first action of
-    /// [`refactorize`](LinearSolver::refactorize). The batched kernel calls
-    /// this before eliminating, so a lane that fails mid-batch is left
-    /// unfactorized exactly as a failed scalar refactorization would be.
-    pub(crate) fn begin_external_refactorize(&mut self) {
-        self.factorized = false;
-    }
-
-    /// Installs factors computed by the batched elimination kernel: copies
-    /// the lane's row permutation and harvests the lane's column of the
-    /// interleaved buffer into the compressed factor store.
-    ///
-    /// Only valid for natural-ordering solvers (the batched kernel is
-    /// bit-compatible with the dense elimination, which is what natural
-    /// ordering guarantees).
-    pub(crate) fn install_external_factors(
-        &mut self,
-        lu: &[f64],
-        stride: usize,
-        lane: usize,
-        perm: &[usize],
-    ) {
-        let n = self.pattern.dim();
-        debug_assert!(
-            self.ordering.is_none(),
-            "batched install requires natural ordering"
-        );
-        debug_assert_eq!(perm.len(), n, "permutation length mismatch");
-        self.perm.copy_from_slice(perm);
-        self.compressed.load_strided(lu, n, stride, lane);
-        self.factorized = true;
-    }
-
-    /// Whether this solver runs in natural ordering (no fill-reducing
-    /// permutation) — the mode the batched kernel supports.
-    pub fn has_natural_ordering(&self) -> bool {
-        self.ordering.is_none()
     }
 }
 

@@ -51,13 +51,7 @@
 //! `shil_runtime_checkpoint_corrupt_skipped_total`,
 //! `shil_runtime_checkpoint_seals_total`,
 //! `shil_runtime_storage_renames_total`,
-//! `shil_sweep_checkpoint_write_failures_total`). The batched sweep
-//! backend reports per-block lane accounting
-//! (`shil_sweep_batch_lanes_launched_total`,
-//! `shil_sweep_batch_lanes_retired_total`,
-//! `shil_sweep_batch_scalar_fallbacks_total`) and a
-//! `shil_sweep_batch_occupancy` histogram (fraction of launched lanes
-//! still lock-stepping, per block).
+//! `shil_sweep_checkpoint_write_failures_total`).
 //! DESIGN.md's Observability section documents the full scheme.
 
 pub mod events;

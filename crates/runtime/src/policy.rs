@@ -146,8 +146,8 @@ pub struct SweepPolicy {
     /// Upper bound on a single backoff sleep.
     pub retry_max_backoff: Duration,
     /// Per-run transient step-rejection budget, applied to each item's
-    /// `TranOptions` by the policy-driven transient sweep. This is the
-    /// supported home of the deprecated `TranOptions::retry_budget` knob.
+    /// `TranOptions` (`with_step_retry_budget` or `with_policy`) by the
+    /// policy-driven transient sweeps.
     pub step_retry_budget: usize,
 }
 

@@ -6,8 +6,7 @@
 //!          [--timeout <s>] [--csv out.csv]
 //! shil-cli ac <file.cir> --port <node-a> <node-b> --from 1e5 --to 1e6 --points 200 [--csv out.csv]
 //! shil-cli sweep <file.cir> --dt 2e-8 --stop 2e-4 --probe <node> --scale 0.5,1,2
-//!          [--backend scalar|batched|auto] [--threads <n>] [--timeout <s>]
-//!          [--item-timeout <s>] [--retries <n>]
+//!          [--threads <n>] [--timeout <s>] [--item-timeout <s>] [--retries <n>]
 //!          [--checkpoint [path]] [--resume] [--csv out.csv]
 //! ```
 //!
@@ -17,11 +16,8 @@
 //! policy-driven (`shil_runtime`): `--timeout` bounds the whole sweep,
 //! `--item-timeout` each run, `--retries` grants extra attempts, and
 //! `--checkpoint`/`--resume` make the sweep durable — a killed run resumes
-//! where it stopped with bit-identical results. `--backend` picks the sweep
-//! execution backend: `scalar` runs one transient per thread, `batched`
-//! advances lanes of scale variants in lock-step through the shared sparse
-//! structure, and `auto` (the default) chooses from the point count. All
-//! backends produce bit-identical results.
+//! where it stopped with bit-identical results. Each worker thread runs one
+//! transient at a time; results do not depend on `--threads`.
 //!
 //! `sweep` exits with the worst per-item outcome's code from the
 //! six-way `shil_runtime::ItemOutcome` taxonomy: `0` ok, `10` degraded,
@@ -98,8 +94,8 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use shil::circuit::analysis::{
-    ac_impedance, operating_point, transient, AcOptions, AtlasMap, AtlasSpec, BackendChoice,
-    NetlistSweepSpec, OpOptions, SolverKind, SweepEngine, TranOptions,
+    ac_impedance, operating_point, transient, AcOptions, AtlasMap, AtlasSpec, NetlistSweepSpec,
+    OpOptions, SolverKind, SweepEngine, TranOptions,
 };
 use shil::circuit::network::{Coupling, NetworkLockOptions, NetworkSpec, Topology};
 use shil::circuit::{netlist, Circuit, SolveReport};
@@ -114,8 +110,8 @@ fn usage() -> ExitCode {
          --probe <node> [--probe <node>] [--timeout <s>] [--csv <out>]\n  shil-cli ac <file.cir> \
          --port <a> <b> --from <hz> --to <hz> [--points <n>] [--csv <out>]\n  shil-cli sweep \
          <file.cir> --dt <s> --stop <s> --probe <node> [--probe <node>] --scale <k[,k...]> \
-         [--backend scalar|batched|auto] [--threads <n>] [--timeout <s>] [--item-timeout <s>] \
-         [--retries <n>] [--checkpoint [path]] [--resume] [--csv <out>] [--progress]\n  \
+         [--threads <n>] [--timeout <s>] [--item-timeout <s>] [--retries <n>] \
+         [--checkpoint [path]] [--resume] [--csv <out>] [--progress]\n  \
          shil-cli atlas [--nx <n>] [--ny <n>] [--coarse <n>] [--spp <n>] \
          [--horizon <periods>] [--n <order>] [--no-early-exit] [--no-warm-start] \
          [--threads <n>] [--timeout <s>] [--item-timeout <s>] [--retries <n>] \
@@ -427,17 +423,6 @@ fn run(args: &[String], log: &EventLog) -> ExitCode {
                 return ExitCode::from(2);
             }
             let threads = flag_value(rest, "--threads").and_then(|v| v.parse::<usize>().ok());
-            let backend = match flag_value(rest, "--backend").as_deref() {
-                None | Some("auto") => BackendChoice::Auto,
-                Some("scalar") => BackendChoice::Scalar,
-                Some("batched") => BackendChoice::Batched {
-                    lanes: BackendChoice::AUTO_LANES,
-                },
-                Some(other) => {
-                    log.error("unknown_backend", &[("backend", other.into())]);
-                    return ExitCode::from(2);
-                }
-            };
             let secs = |flag: &str| {
                 flag_value(rest, flag)
                     .and_then(|v| v.parse::<f64>().ok())
@@ -506,7 +491,6 @@ fn run(args: &[String], log: &EventLog) -> ExitCode {
                 "sweep_started",
                 &[
                     ("points", (scales.len() as u64).into()),
-                    ("backend", format!("{backend:?}").into()),
                     (
                         "restored",
                         (checkpoint_file.as_ref().map_or(0, |cp| cp.restored().len()) as u64)
@@ -514,7 +498,7 @@ fn run(args: &[String], log: &EventLog) -> ExitCode {
                     ),
                 ],
             );
-            let engine = SweepEngine::new(threads).with_backend(backend);
+            let engine = SweepEngine::new(threads);
             let watcher = rest.iter().any(|a| a == "--progress").then(|| {
                 Progress::spawn(
                     "shil_sweep_items_total",

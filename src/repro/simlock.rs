@@ -8,7 +8,7 @@
 //! describing-function prediction — which is exactly the speedup the
 //! benchmark harness measures.
 
-use shil_circuit::analysis::{transient, BackendChoice, PolicySweep, SweepEngine, TranOptions};
+use shil_circuit::analysis::{transient, PolicySweep, SweepEngine, TranOptions};
 use shil_circuit::{Circuit, CircuitError, NodeId, SolveReport};
 use shil_runtime::{Budget, CheckpointFile, SweepPolicy};
 use shil_waveform::lock::{is_subharmonic_locked, LockOptions};
@@ -215,13 +215,6 @@ impl LockSweep {
 /// binary search: all probes are independent, so wall clock scales with
 /// the slowest run rather than the sum.
 ///
-/// `backend` selects the sweep execution backend ([`BackendChoice::Scalar`]
-/// preserves the historical one-transient-per-thread path; every choice is
-/// bit-identical). Note that this sweep derives its time step from each
-/// probed frequency, so lanes rarely share a step schedule — a batched
-/// backend transparently degrades to per-item scalar runs here and pays off
-/// only for fixed-grid sweeps.
-///
 /// # Errors
 ///
 /// Propagates the first simulation or measurement failure (all runs are
@@ -236,13 +229,11 @@ pub fn probe_lock_sweep<F>(
     opts: &SimOptions,
     ic: &[(NodeId, f64)],
     parallelism: Option<usize>,
-    backend: BackendChoice,
 ) -> Result<LockSweep, SimError>
 where
     F: Fn(f64) -> Circuit + Sync,
 {
-    let engine = SweepEngine::new(parallelism).with_backend(backend);
-    let sweep = engine.transient_sweep(frequencies, |_, &f_inj| {
+    let sweep = SweepEngine::new(parallelism).transient_sweep(frequencies, |_, &f_inj| {
         let period = n as f64 / f_inj;
         let dt = period / opts.steps_per_period as f64;
         let t_stop = opts.total_periods() * period;
@@ -323,7 +314,6 @@ pub fn probe_lock_sweep_checkpointed<F>(
     opts: &SimOptions,
     ic: &[(NodeId, f64)],
     parallelism: Option<usize>,
-    backend: BackendChoice,
     policy: &SweepPolicy,
     budget: &Budget,
     checkpoint: Option<&CheckpointFile>,
@@ -331,8 +321,7 @@ pub fn probe_lock_sweep_checkpointed<F>(
 where
     F: Fn(f64) -> Circuit + Sync,
 {
-    let engine = SweepEngine::new(parallelism).with_backend(backend);
-    let sweep = engine.run_checkpointed_tran(
+    let sweep = SweepEngine::new(parallelism).run_checkpointed(
         frequencies,
         policy,
         budget,
@@ -348,9 +337,7 @@ where
             for &(node, v) in ic {
                 tran = tran.with_ic(node, v);
             }
-            (build(f_inj), tran)
-        },
-        |_, &f_inj, res| {
+            let res = transient(&build(f_inj), &tran)?;
             let trace = res.voltage_between(a, b)?;
             let s = Sampled::from_time_series(&trace.time, &trace.values).map_err(measure_err)?;
             let locked = is_subharmonic_locked(&s, f_inj, n, &opts.lock).map_err(measure_err)?;

@@ -258,107 +258,6 @@ fn policy_sweep_classifies_1000_faulty_items_without_panicking() {
     );
 }
 
-/// A NaN-poisoned lane must retire from its lock-step block without
-/// perturbing any sibling: across 1000 seeded trials, one lane of a
-/// 4-wide batched block carries a NaN-injecting element while the other
-/// three stay healthy, and every healthy lane's trajectory must remain
-/// bit-identical to its own scalar run. The poisoned lane itself keeps
-/// the usual contract — a typed error or a finite (retried-on-the-scalar-
-/// path) result — and nothing panics.
-#[test]
-fn poisoned_lane_retires_without_corrupting_siblings() {
-    use shil::circuit::analysis::BackendChoice;
-
-    let mut failures = Vec::new();
-    let mut retired_total = 0usize;
-    for seed in 0..1000u64 {
-        let trial = catch_unwind(AssertUnwindSafe(|| {
-            let poisoned = (seed % 4) as usize;
-            let specs: Vec<FaultSpec> = (0..4)
-                .map(|i| {
-                    if i == poisoned {
-                        FaultSpec::nan(0.05, seed)
-                    } else {
-                        FaultSpec::default()
-                    }
-                })
-                .collect();
-            let setup = |_: usize, spec: &FaultSpec| {
-                (faulty_circuit(*spec), chaos_tran_options(1e-7, 2e-5))
-            };
-            let sweep = SweepEngine::serial()
-                .with_backend(BackendChoice::Batched { lanes: 4 })
-                .transient_sweep(&specs, setup);
-            assert_eq!(sweep.runs.len(), specs.len());
-            for (i, (run, spec)) in sweep.runs.iter().zip(&specs).enumerate() {
-                if i == poisoned {
-                    match run {
-                        Ok(res) => {
-                            let col = res.node_voltage(2).expect("probed node");
-                            assert!(
-                                col.iter().all(|v| v.is_finite()),
-                                "non-finite sample escaped the retired lane"
-                            );
-                        }
-                        Err(e) => assert!(!e.to_string().is_empty()),
-                    }
-                    continue;
-                }
-                let (ckt, opts) = setup(i, spec);
-                let want = transient(&ckt, &opts).expect("healthy scalar run");
-                let got = run
-                    .as_ref()
-                    .expect("healthy lane must survive a poisoned sibling");
-                assert_eq!(got.time, want.time, "lane {i} time grid diverged");
-                assert_eq!(
-                    got.node_voltage(2).unwrap(),
-                    want.node_voltage(2).unwrap(),
-                    "lane {i} trajectory diverged from its scalar run"
-                );
-                // Wall time is the one nondeterministic report field.
-                assert_eq!(
-                    (
-                        got.report.attempts,
-                        got.report.factorizations,
-                        got.report.reuses
-                    ),
-                    (
-                        want.report.attempts,
-                        want.report.factorizations,
-                        want.report.reuses
-                    ),
-                    "lane {i} effort diverged"
-                );
-            }
-            sweep.batch.lanes_retired
-        }));
-        match trial {
-            Ok(retired) => retired_total += retired,
-            Err(payload) => {
-                let msg = payload
-                    .downcast_ref::<String>()
-                    .cloned()
-                    .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                    .unwrap_or_else(|| "non-string panic payload".into());
-                failures.push((seed, msg));
-            }
-        }
-    }
-    assert!(
-        failures.is_empty(),
-        "{} trials panicked; first: seed {}: {}",
-        failures.len(),
-        failures[0].0,
-        failures[0].1
-    );
-    // The scenario must actually exercise retirement somewhere in the
-    // seed range, or the isolation claim above is vacuous.
-    assert!(
-        retired_total > 0,
-        "no poisoned lane ever retired across 1000 seeds"
-    );
-}
-
 /// A healthy element wrapped with a zero-rate spec must behave exactly like
 /// the unwrapped pipeline — the injector itself adds no perturbation.
 #[test]

@@ -5,7 +5,6 @@
 //! checked against both transient simulation (via `shil-waveform`) and the
 //! paper's reported values.
 
-use shil::circuit::analysis::BackendChoice;
 use shil::core::describing::{natural_oscillation, NaturalOptions};
 use shil::core::shil::{ShilAnalysis, ShilOptions};
 use shil::core::tank::Tank;
@@ -213,7 +212,6 @@ fn diff_pair_parallel_lock_sweep_brackets_the_predicted_range() {
         &opts,
         &[(DiffPairOscillator::build(params).ncl, params.vcc + 0.05)],
         None,
-        BackendChoice::Auto,
     )
     .expect("lock sweep");
 
@@ -246,7 +244,6 @@ fn diff_pair_parallel_lock_sweep_brackets_the_predicted_range() {
         &opts,
         &[(DiffPairOscillator::build(params).ncl, params.vcc + 0.05)],
         Some(1),
-        BackendChoice::Scalar,
     )
     .expect("serial sweep");
     assert_eq!(serial.locked, sweep.locked);

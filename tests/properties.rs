@@ -222,7 +222,7 @@ proptest! {
 
 // --- Sweep engine --------------------------------------------------------
 
-use shil::circuit::analysis::{transient, BackendChoice, SweepEngine, TranOptions};
+use shil::circuit::analysis::{transient, SweepEngine, TranOptions};
 use shil::circuit::Circuit;
 
 proptest! {
@@ -261,52 +261,6 @@ proptest! {
                 want.node_voltage(1).unwrap()
             );
         }
-    }
-
-    /// The batched backend is bit-identical to the scalar backend —
-    /// times, trajectories, effort counters and the sweep aggregate — for
-    /// any lane width K ∈ {1, 2, 4, 8}, any sweep size (including partial
-    /// trailing blocks) and any thread count.
-    #[test]
-    fn batched_backend_is_bitwise_identical_to_scalar(
-        threads in 1usize..9,
-        lanes_idx in 0usize..4,
-        resistances in prop::collection::vec(500.0f64..5e3, 1..10),
-    ) {
-        let lanes = [1usize, 2, 4, 8][lanes_idx];
-        let (l, c) = (10e-6_f64, 10e-9_f64);
-        let period = std::f64::consts::TAU * (l * c).sqrt();
-        let setup = |_: usize, &r: &f64| {
-            let mut ckt = Circuit::new();
-            let top = ckt.node("top");
-            ckt.resistor(top, Circuit::GROUND, r);
-            ckt.inductor(top, Circuit::GROUND, l);
-            ckt.capacitor(top, Circuit::GROUND, c);
-            let opts = TranOptions::new(period / 64.0, 5.0 * period)
-                .use_ic()
-                .with_ic(top, 1.0);
-            (ckt, opts)
-        };
-        let scalar = SweepEngine::new(Some(threads))
-            .with_backend(BackendChoice::Scalar)
-            .transient_sweep(&resistances, setup);
-        let batched = SweepEngine::new(Some(threads))
-            .with_backend(BackendChoice::Batched { lanes })
-            .transient_sweep(&resistances, setup);
-        // Wall time is the one nondeterministic report field; everything
-        // else — solver effort included — must match exactly.
-        let effort = |r: &shil::circuit::SolveReport| {
-            (r.attempts, r.halvings, r.factorizations, r.reuses, r.fallbacks.clone())
-        };
-        prop_assert_eq!(scalar.runs.len(), batched.runs.len());
-        for (s, b) in scalar.runs.iter().zip(&batched.runs) {
-            let s = s.as_ref().expect("scalar run");
-            let b = b.as_ref().expect("batched run");
-            prop_assert_eq!(&s.time, &b.time);
-            prop_assert_eq!(s.node_voltage(1).unwrap(), b.node_voltage(1).unwrap());
-            prop_assert_eq!(effort(&s.report), effort(&b.report));
-        }
-        prop_assert_eq!(effort(&scalar.aggregate), effort(&batched.aggregate));
     }
 }
 

@@ -1,13 +1,12 @@
 //! End-to-end acceptance tests for the `shil-runtime` execution-control
 //! layer: deadlines that cancel promptly with diagnostics, panic isolation
 //! inside sweeps, bit-identical kill-and-resume from checkpoint files, and
-//! the deprecated `retry_budget` shim agreeing with its `SweepPolicy`
-//! replacement.
+//! the step-retry budget builder agreeing with its `SweepPolicy` source.
 
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use shil::circuit::analysis::{transient, BackendChoice, SweepEngine, TranOptions};
+use shil::circuit::analysis::{transient, SweepEngine, TranOptions};
 use shil::circuit::{Circuit, CircuitError, IvCurve, NodeId, SolveReport, SourceWave};
 use shil::numerics::NumericsError;
 use shil::repro::simlock::{lock_sweep_fingerprint, probe_lock_sweep_checkpointed, SimOptions};
@@ -241,10 +240,10 @@ fn kill_and_resume_is_bit_identical_at_any_thread_count() {
     std::fs::remove_file(&full_path).ok();
 }
 
-/// The deprecated `retry_budget` knob and its `SweepPolicy` replacement
-/// drive the same limiter: both exhaust with identical diagnostics.
+/// The `with_step_retry_budget` builder and its `SweepPolicy` source
+/// drive the same limiter and run the same trajectory.
 #[test]
-fn deprecated_retry_budget_shim_agrees_with_sweep_policy() {
+fn step_retry_budget_builder_agrees_with_sweep_policy() {
     let policy = SweepPolicy {
         step_retry_budget: 8,
         ..SweepPolicy::default()
@@ -252,25 +251,15 @@ fn deprecated_retry_budget_shim_agrees_with_sweep_policy() {
     let (_, _, base) = oscillator(1.0);
     let via_policy = base.clone().with_policy(&policy);
     let via_builder = base.clone().with_step_retry_budget(8);
-    #[allow(deprecated)]
-    let via_field = {
-        let mut o = base.clone();
-        o.retry_budget = 8;
-        o
-    };
     assert_eq!(via_policy.step_retry_budget(), 8);
     assert_eq!(via_builder.step_retry_budget(), 8);
-    assert_eq!(via_field.step_retry_budget(), 8);
 
-    // All three run the same simulation to the same trajectory.
+    // Both run the same simulation to the same trajectory.
     let (ckt, top, _) = oscillator(1.0);
     let a = transient(&ckt, &via_policy).unwrap();
     let b = transient(&ckt, &via_builder).unwrap();
-    let c = transient(&ckt, &via_field).unwrap();
     assert_eq!(a.time, b.time);
-    assert_eq!(a.time, c.time);
     assert_eq!(a.node_voltage(top).unwrap(), b.node_voltage(top).unwrap());
-    assert_eq!(a.node_voltage(top).unwrap(), c.node_voltage(top).unwrap());
 }
 
 /// The resumable lock sweep classifies every probe and restores verdicts
@@ -322,7 +311,6 @@ fn resumable_lock_sweep_restores_verdicts() {
         &opts,
         &ic,
         Some(1),
-        BackendChoice::Scalar,
         &policy,
         &Budget::unlimited(),
         None,
@@ -353,7 +341,6 @@ fn resumable_lock_sweep_restores_verdicts() {
             &opts,
             &ic,
             Some(2),
-            BackendChoice::Auto,
             &policy,
             &Budget::unlimited(),
             Some(&cp),
@@ -373,11 +360,9 @@ fn resumable_lock_sweep_restores_verdicts() {
         n,
         &opts,
         &ic,
+        // Resuming at a third thread count must restore and finish
+        // identically: results do not depend on the thread count.
         Some(3),
-        // Resuming a scalar-written checkpoint under the batched backend
-        // must restore and finish identically (results are bit-identical
-        // across backends, so checkpoints are backend-agnostic).
-        BackendChoice::Batched { lanes: 2 },
         &policy,
         &Budget::unlimited(),
         Some(&cp),
