@@ -1,9 +1,10 @@
 //! A02 — ablation: grid resolution of the graphical pass.
 //!
 //! The paper advertises a one-pass graphical procedure. This ablation shows
-//! *why* a modest grid suffices in this implementation: marching squares
-//! only needs to locate each intersection within one cell, because the 2×2
-//! Newton polish against the exact residuals supplies the final precision.
+//! *why* a modest grid suffices in this implementation: the traced
+//! `C_{T_f,1}`, whose vertices lie about one grid cell apart, only needs to
+//! locate each intersection within one segment, because the 2×2 Newton
+//! polish against the exact residuals supplies the final precision.
 
 use shil::core::harmonics::HarmonicOptions;
 use shil::core::nonlinearity::NegativeTanh;

@@ -7,9 +7,14 @@
 //!   per integrand evaluation) vs the batched twiddle-table fill, serial
 //!   and parallel, which evaluates the `φ ≤ π` half and mirrors the rest
 //!   (`cells_evaluated`, read off `shil_core_prechar_cells_total`);
+//! - a cold, serial `ShilAnalysis::new` (natural solve, then `C_{T_f,1}`
+//!   traced by continuation: `track_evals` exact `I₁` evaluations, read off
+//!   `shil_core_track_evals_total`) vs the grid build it replaced (natural
+//!   solve, serial `precharacterize`, `marching_squares`, one exact `I₁`
+//!   per vertex);
 //! - a 25-point injection-frequency sweep constructing one analysis per
 //!   point, uncached vs served from a [`PrecharCache`] (the cache must
-//!   build the grid exactly once);
+//!   build exactly once);
 //! - `lock_range` by the phase-track walk vs the scan + bisection oracle
 //!   it replaced ([`shil_bench::oracle`]), `solutions_at_phase` off the
 //!   track vs with a fresh isoline extraction, and a `V_i` ladder
@@ -26,10 +31,12 @@
 use std::time::Duration;
 
 use shil::core::cache::PrecharCache;
+use shil::core::describing::natural_oscillation;
 use shil::core::harmonics::{i1_injected, HarmonicTable};
 use shil::core::nonlinearity::NegativeTanh;
 use shil::core::shil::{effective_parallelism, precharacterize, ShilAnalysis, ShilOptions};
 use shil::core::tank::{ParallelRlc, Tank};
+use shil::numerics::contour::marching_squares;
 use shil::observe::RunManifest;
 use shil_bench::oracle::{scan_lock_range, WALK_ORACLE_REL_BOUND};
 use shil_bench::{obs, results_dir, timed};
@@ -121,6 +128,69 @@ fn main() {
             ("batched_parallel_s", t_parallel.into()),
             ("speedup_serial_vs_scalar", (t_scalar / t_serial).into()),
             ("speedup_parallel_vs_scalar", (t_scalar / t_parallel).into()),
+        ],
+    );
+
+    // Cold build, serial on both sides: the traced C_{T_f,1} against the
+    // grid fill + marching squares + phase track it replaced.
+    let serial = ShilOptions {
+        parallelism: Some(1),
+        ..opts
+    };
+    let (_, track_evals) = counted("shil_core_track_evals_total", || {
+        ShilAnalysis::new(&f, &tank, n, vi, serial).expect("analysis")
+    });
+    let grid_track = || {
+        let natural = natural_oscillation(&f, &tank, &opts.natural).expect("natural");
+        let (a_lo, a_hi) = (
+            opts.a_min_factor * natural.amplitude,
+            opts.a_max_factor * natural.amplitude,
+        );
+        let ny = opts.amplitude_points;
+        let amps: Vec<f64> = (0..ny)
+            .map(|j| a_lo + (a_hi - a_lo) * j as f64 / (ny - 1) as f64)
+            .collect();
+        let table = HarmonicTable::new(n, 1, &opts.harmonics);
+        let (tf, _) = precharacterize(&f, r, vi, nx, &amps, &table, 1).expect("grids");
+        let curves = marching_squares(&tf, 1.0).expect("level set");
+        let mut buf = table.scratch();
+        let track: Vec<Vec<f64>> = curves
+            .iter()
+            .map(|c| {
+                c.points
+                    .iter()
+                    .map(|p| (-table.i1(&f, p.y, vi, p.x, &mut buf)).arg())
+                    .collect()
+            })
+            .collect();
+        (curves, track)
+    };
+    let grid_track_evals = cells_evaluated
+        + grid_track()
+            .0
+            .iter()
+            .map(|c| c.points.len() as u64)
+            .sum::<u64>();
+    let cold_reps = 9;
+    let t_natural = median_secs(cold_reps, || {
+        std::hint::black_box(natural_oscillation(&f, &tank, &opts.natural).expect("natural"));
+    });
+    let t_cold_trace = median_secs(cold_reps, || {
+        std::hint::black_box(ShilAnalysis::new(&f, &tank, n, vi, serial).expect("analysis"));
+    });
+    let t_cold_grid = median_secs(cold_reps, || {
+        std::hint::black_box(grid_track());
+    });
+    log.info(
+        "cold_build_measured",
+        &[
+            ("reps", (cold_reps as u64).into()),
+            ("track_evals", track_evals.into()),
+            ("grid_track_evals", grid_track_evals.into()),
+            ("natural_median_s", t_natural.into()),
+            ("trace_median_s", t_cold_trace.into()),
+            ("grid_track_median_s", t_cold_grid.into()),
+            ("speedup", (t_cold_grid / t_cold_trace).into()),
         ],
     );
 
@@ -263,6 +333,15 @@ fn main() {
         ladder_json.join(",\n")
     );
 
+    let cold_build_json = format!(
+        "  \"cold_build\": {{\n    \"reps\": {cold_reps},\n    \"threads\": 1,\n    \
+         \"track_evals\": {track_evals},\n    \"grid_track_evals\": {grid_track_evals},\n    \
+         \"natural_median_s\": {t_natural:.6e},\n    \"trace_median_s\": {t_cold_trace:.6e},\n    \
+         \"grid_track_median_s\": {t_cold_grid:.6e},\n    \
+         \"speedup_trace_vs_grid_track\": {:.3}\n  }},\n",
+        t_cold_grid / t_cold_trace
+    );
+
     let json = format!(
         "{{\n  \"grid\": [{}, {}],\n  \"phase_points\": {},\n  \"cells_evaluated\": {},\n  \
          \"samples_per_period\": {},\n  \"cores\": {},\n  \
@@ -271,7 +350,7 @@ fn main() {
          \"speedup_batched_serial_vs_scalar\": {:.3},\n  \
          \"speedup_batched_parallel_vs_scalar\": {:.3},\n  \
          \"sweep25_uncached_s\": {:.6e},\n  \"sweep25_cached_s\": {:.6e},\n  \
-         \"sweep25_cached_grid_builds\": {},\n  \"sweep25_cached_grid_hits\": {},\n{}}}\n",
+         \"sweep25_cached_grid_builds\": {},\n  \"sweep25_cached_grid_hits\": {},\n{}{}}}\n",
         opts.phase_points,
         opts.amplitude_points,
         opts.phase_points,
@@ -287,6 +366,7 @@ fn main() {
         t_cached.as_secs_f64(),
         cache.grid_builds(),
         cache.grid_hits(),
+        cold_build_json,
         lock_range_json,
     );
     let path = results_dir().join("BENCH_precharacterize.json");

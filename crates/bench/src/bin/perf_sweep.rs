@@ -15,6 +15,9 @@
 //!            [--resume] [--out <path>]
 //! ```
 //!
+//! plus the shared `--quiet`, `--metrics-out [path]` and `--events-out
+//! [path]`; any other `--flag` prints this usage and exits with status 2.
+//!
 //! Without `--resume`, a pre-existing checkpoint at the chosen path is
 //! removed first; with it, completed points are restored instead of re-run.
 //! Exit status is non-zero when any point ends unsuccessfully, so a
@@ -35,6 +38,23 @@ use shil::observe::RunManifest;
 use shil::repro::diff_pair::{DiffPairOscillator, DiffPairParams};
 use shil::runtime::{checkpoint, Budget, CheckpointFile, SweepPolicy};
 use shil_bench::{obs, paper, results_dir};
+
+/// Every flag the harness accepts: its own, then the shared observability
+/// flags of [`obs::init`].
+const FLAGS: [&str; 12] = [
+    "--quick",
+    "--points",
+    "--threads",
+    "--timeout",
+    "--item-timeout",
+    "--retries",
+    "--checkpoint",
+    "--resume",
+    "--out",
+    "--quiet",
+    "--metrics-out",
+    "--events-out",
+];
 
 fn flag_value(args: &[String], flag: &str) -> Option<String> {
     args.iter()
@@ -91,6 +111,17 @@ fn artifact(
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(flag) = args
+        .iter()
+        .find(|a| a.starts_with("--") && !FLAGS.contains(&a.as_str()))
+    {
+        eprintln!(
+            "unknown flag: {flag}\nusage: perf_sweep [--quick] [--points <n>] [--threads <n>] \
+             [--timeout <s>] [--item-timeout <s>] [--retries <n>] [--checkpoint [path]] \
+             [--resume] [--out <path>] [--quiet] [--metrics-out [path]] [--events-out [path]]"
+        );
+        std::process::exit(2);
+    }
     let quick = args.iter().any(|a| a == "--quick");
     let resume = args.iter().any(|a| a == "--resume");
     let obs = obs::init("perf_sweep");

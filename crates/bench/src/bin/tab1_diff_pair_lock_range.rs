@@ -24,8 +24,8 @@ fn main() {
     );
     println!("injection: n = {}, |V_i| = {} V", paper::N, paper::VI);
 
-    // Prediction (includes the one-off grid pre-characterization, shared
-    // with the Fig. 14 sweep below through the cache).
+    // Prediction (includes the one-off pre-characterization, the traced
+    // C_{T_f,1}, shared with the Fig. 14 sweep below through the cache).
     let cache = PrecharCache::new();
     let (lock, t_pred) = timed(|| {
         let an = ShilAnalysis::new_cached(

@@ -1,14 +1,15 @@
 //! Memoized pre-characterization cache for SHIL sweeps.
 //!
 //! The expensive artifacts of a [`crate::shil::ShilAnalysis`] — the natural
-//! oscillation solve and the `(φ, A)` grid pair with its `C_{T_f,1}` level
-//! set and phase track — depend only on the *value* of the oscillator (nonlinearity + tank
-//! parameters), the injection `(n, V_i)` and the grid/sampling options, not
-//! on which `ShilAnalysis` instance asked for them. A [`PrecharCache`]
-//! keys them by those values so that sweeps (the Tab. 1/2 frequency sweeps,
-//! Fig. 10's isoline families, Fig. 14's amplitude-vs-detuning curve)
-//! re-analyzing the same oscillator reuse one grid build instead of
-//! repeating it per sweep point.
+//! oscillation solve and the traced `C_{T_f,1}` level set with its phase
+//! track (plus the `(φ, A)` grids, once a figure accessor has asked for
+//! them) — depend only on the *value* of the oscillator (nonlinearity +
+//! tank parameters), the injection `(n, V_i)` and the grid/sampling
+//! options, not on which `ShilAnalysis` instance asked for them. A
+//! [`PrecharCache`] keys them by those values so that sweeps (the Tab. 1/2
+//! frequency sweeps, Fig. 10's isoline families, Fig. 14's
+//! amplitude-vs-detuning curve) re-analyzing the same oscillator reuse one
+//! build instead of repeating it per sweep point.
 //!
 //! Elements identify themselves through
 //! [`Nonlinearity::fingerprint`](crate::nonlinearity::Nonlinearity::fingerprint)
@@ -22,7 +23,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use shil_numerics::contour::Polyline;
 use shil_numerics::Grid2;
@@ -65,38 +66,57 @@ pub fn combine(parent: u64, child: u64) -> u64 {
 
 /// Everything a [`crate::shil::ShilAnalysis`] computes up front that depends
 /// only on (oscillator, `n`, `V_i`, grid spec): the natural oscillation, the
-/// sampling tables, both pre-characterization grids, the
-/// injection-frequency-invariant `C_{T_f,1}` level set and its phase track.
+/// sampling tables, and the injection-frequency-invariant `C_{T_f,1}` level
+/// set traced by continuation, with its phase track. A few KB per entry.
+///
+/// The `(φ, A)` grids of `T_f` and `∠−I₁` are not part of a prediction;
+/// the entry holds them only after a figure accessor
+/// ([`crate::shil::ShilAnalysis::tf_grid`] and friends) filled them.
 #[derive(Debug, Clone)]
 pub struct Precharacterization {
-    /// The natural oscillation the grid axes were scaled from.
+    /// The natural oscillation the amplitude window was scaled from.
     pub natural: NaturalOscillation,
     /// Tank peak resistance `R` used in `T_f`.
     pub r: f64,
     /// Sampling/twiddle tables for the exact residual evaluations.
     pub table: HarmonicTable,
-    /// `T_f(φ, A)` over the grid (x = φ, y = A).
-    pub tf_grid: Grid2,
-    /// `∠−I₁(φ, A)` over the grid, wrapped to `(−π, π]`.
-    pub angle_grid: Grid2,
+    /// Points of the uniform phase axis `[0, 2π]`: the grids' x axis, and
+    /// the phase cell `2π/(phase_points − 1)` of the continuation step.
+    pub phase_points: usize,
+    /// The uniform amplitude axis: the grids' y axis and the window
+    /// `C_{T_f,1}` is traced in.
+    pub amplitudes: Vec<f64>,
     /// The `C_{T_f,1}` level set (independent of injection frequency).
     pub tf_unity: Vec<Polyline>,
     /// The phase track along `C_{T_f,1}`: `phase_track[i][k]` is
     /// `∠−I₁` evaluated exactly at vertex `k` of `tf_unity[i]`, so that
     /// vertex is a lock solution for the tank phase `φ_d = −phase_track[i][k]`.
-    /// Lock solutions and the lock range are read off this track; one
-    /// exact `I₁` evaluation per vertex, a few KB per entry.
+    /// Lock solutions and the lock range are read off this track.
     pub phase_track: Vec<Vec<f64>>,
-    /// Number of grid nodes where `T_f` or `∠−I₁` evaluated non-finite.
+    /// The §VI-B3 Jacobian-trace estimate at each vertex of `tf_unity`,
+    /// from the tracer's finite differences; it places the arc splits of
+    /// the lock-range walk.
+    pub trace_track: Vec<Vec<f64>>,
+    /// Number of tracer evaluations where `T_f` or `∠−I₁` came out
+    /// non-finite.
     ///
-    /// Marching squares masks the surrounding cells, so a nonzero count
-    /// means the graphical curves (and everything derived from them) only
-    /// cover part of the `(φ, A)` plane — queries against this
-    /// pre-characterization report their solutions as degraded.
-    pub non_finite_cells: usize,
+    /// A trace stops at a non-finite evaluation, so a nonzero count means
+    /// `C_{T_f,1}` (and everything derived from it) may be incomplete —
+    /// queries against this pre-characterization report their solutions
+    /// as degraded.
+    pub non_finite_evals: usize,
+    /// The `(T_f, ∠−I₁)` grids, filled on first use by a figure accessor.
+    pub(crate) grids: OnceLock<(Grid2, Grid2)>,
 }
 
-/// Cache key for a full grid pre-characterization.
+impl Precharacterization {
+    /// Spacing of the phase axis.
+    pub(crate) fn phase_step(&self) -> f64 {
+        std::f64::consts::TAU / (self.phase_points - 1) as f64
+    }
+}
+
+/// Cache key for a pre-characterization.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PrecharKey {
     /// Nonlinearity parameter digest.

@@ -48,6 +48,7 @@
 //! ```
 
 pub mod cache;
+mod continuation;
 pub mod describing;
 pub mod fhil;
 pub mod harmonics;

@@ -115,8 +115,8 @@ impl<N: Nonlinearity, T: Tank> Oscillator<N, T> {
     }
 }
 
-// The SHIL entry points additionally require `Sync` elements: the grid
-// pre-characterization and solution refinement fan out across scoped
+// The SHIL entry points additionally require `Sync` elements: the figure
+// grids' fill and solution refinement fan out across scoped
 // threads that share the nonlinearity and tank (see
 // [`ShilOptions::parallelism`]).
 impl<N: Nonlinearity + Sync, T: Tank + Sync> Oscillator<N, T> {

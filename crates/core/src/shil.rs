@@ -11,16 +11,17 @@
 //! ∠−I₁(A, φ) = −φ_d(ω_i)
 //! ```
 //!
-//! Both left-hand sides are pre-characterized on a rectangular `(φ, A)`
-//! grid, of which only the `φ ∈ [0, π]` half is evaluated: `φ → −φ`
-//! conjugates `I₁` (§VI-B3), so the column at `2π − φ` repeats `T_f` and
-//! negates `∠−I₁` (see [`precharacterize`]). The level set `C_{T_f,1}` is
-//! extracted once with marching squares — it does **not** depend on the
-//! injection frequency, the invariance the paper exploits for cheap
-//! lock-range sweeps. So every point `s` of
+//! The level set `C_{T_f,1}` of the first equation does **not** depend on
+//! the injection frequency — the invariance the paper exploits for cheap
+//! lock-range sweeps — so it is found once per oscillator, `n` and `V_i`:
+//! traced on the exact equation by pseudo-arclength continuation (see
+//! [`crate::continuation`]), seeded from the `φ = 0` and `φ = π` amplitude
+//! columns, with the `φ > π` half mirrored (`φ → −φ` conjugates `I₁`,
+//! §VI-B3). Every point `s` of
 //! `C_{T_f,1}` is a lock solution for exactly one tank phase,
-//! `φ_d(s) = −∠−I₁(s)`: the build evaluates `∠−I₁` exactly at every vertex
-//! (the *phase track*), and a query at `φ_d` reads its solutions off the
+//! `φ_d(s) = −∠−I₁(s)`: the tracer's own `I₁` evaluation at every vertex
+//! gives `∠−I₁` there exactly (the *phase track*), and a query at `φ_d`
+//! reads its solutions off the
 //! track segments where `∠−I₁ + φ_d` changes sign — the intersections with
 //! the isoline `C_{∠−I₁, −φ_d}` — each polished by a 2×2 Newton solve on the
 //! exact residuals and classified as stable or unstable from the local
@@ -32,10 +33,12 @@
 //!
 //! Every intermediate object — grids, level sets, isolines, intersections —
 //! is exposed through [`GraphicalCurves`] so the figures of the paper can
-//! be re-rendered from this crate's output.
+//! be re-rendered from this crate's output. Only those figure accessors
+//! need the rectangular `(φ, A)` grids of `T_f` and `∠−I₁`
+//! ([`precharacterize`]); they are filled on first use.
 
 use std::f64::consts::FRAC_PI_2;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use shil_numerics::contour::{marching_squares, Point, Polyline};
 use shil_numerics::fallback::{newton_with_restarts, FallbackOptions};
@@ -44,6 +47,7 @@ use shil_numerics::roots::brent;
 use shil_numerics::{wrap_angle, Grid2};
 
 use crate::cache::{self, NaturalKey, PrecharCache, PrecharKey, Precharacterization};
+use crate::continuation::trace_unity;
 use crate::describing::{natural_oscillation, NaturalOptions, NaturalOscillation};
 use crate::error::ShilError;
 use crate::harmonics::{neg_angle, HarmonicOptions, HarmonicTable};
@@ -53,9 +57,11 @@ use crate::tank::Tank;
 /// Options for the SHIL analysis.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShilOptions {
-    /// Grid resolution along the phase axis `φ ∈ [0, 2π]`.
+    /// Resolution of the phase axis `φ ∈ [0, 2π]`: the columns of the
+    /// figure grids, and the phase cell of the continuation step.
     pub phase_points: usize,
-    /// Grid resolution along the amplitude axis.
+    /// Resolution of the amplitude axis: the rows of the figure grids, the
+    /// seed columns of the continuation and the amplitude cell of its step.
     pub amplitude_points: usize,
     /// Lower amplitude bound as a fraction of the natural amplitude.
     pub a_min_factor: f64,
@@ -63,9 +69,11 @@ pub struct ShilOptions {
     pub a_max_factor: f64,
     /// Harmonic-integral sampling.
     pub harmonics: HarmonicOptions,
-    /// Natural-oscillation solve options (used for grid scaling).
+    /// Natural-oscillation solve options (the amplitude window is scaled
+    /// from the natural amplitude).
     pub natural: NaturalOptions,
-    /// Worker threads for the grid fill and related fan-out work:
+    /// Worker threads for the figure grids' fill and the Newton-polish
+    /// fan-out:
     /// `None` = one per available core, `Some(1)` = fully serial,
     /// `Some(k)` = exactly `k`. Results are **bit-for-bit identical**
     /// regardless of the setting (rows are partitioned, never reduced
@@ -134,10 +142,12 @@ fn grid_options_fingerprint(opts: &ShilOptions) -> u64 {
 /// `φ_i = 2π·i/(phase_points − 1)` and the given amplitude axis, using
 /// `threads` workers.
 ///
-/// This is the hot loop of [`ShilAnalysis::new`], exposed so sweeps and
-/// benchmarks can drive it directly. Each evaluated cell costs one batched
-/// two-tone sampling pass of `table` (no trigonometric calls; see
-/// [`HarmonicTable`]).
+/// [`ShilAnalysis`] fills these grids only for the figure accessors
+/// ([`ShilAnalysis::tf_grid`], [`ShilAnalysis::angle_grid`],
+/// [`ShilAnalysis::graphical_curves`], [`ShilAnalysis::angle_isolines`]);
+/// lock solutions and lock ranges never need them. Each evaluated cell
+/// costs one batched two-tone sampling pass of `table` (no trigonometric
+/// calls; see [`HarmonicTable`]).
 ///
 /// Only the columns `φ ∈ [0, π]` — `⌈phase_points/2⌉` of them — are
 /// evaluated. Replacing `φ` by `−φ` conjugates the fundamental phasor
@@ -230,7 +240,7 @@ pub fn precharacterize<N: Nonlinearity + Sync + ?Sized>(
 
 /// `∠−I₁` at `2π − φ` from `∠−I₁` at `φ`: the conjugate's angle, kept in
 /// `(−π, π]`. Negation alone would send `π` to `−π` and `0` to `−0.0`.
-fn mirror_angle(angle: f64) -> f64 {
+pub(crate) fn mirror_angle(angle: f64) -> f64 {
     if angle == std::f64::consts::PI || angle == 0.0 {
         angle.abs()
     } else {
@@ -302,15 +312,16 @@ pub struct GraphicalCurves {
 /// A prepared SHIL analysis for one oscillator, sub-harmonic order and
 /// injection strength.
 ///
-/// Construction performs the full grid pre-characterization; all queries
+/// Construction traces `C_{T_f,1}` with its phase track; all queries
 /// afterwards (solutions at a frequency, lock range, plot curves) reuse it.
 pub struct ShilAnalysis<'a, N: ?Sized, T: ?Sized> {
     nonlinearity: &'a N,
     tank: &'a T,
     n: u32,
     vi: f64,
-    /// Grids, level set, natural solve and sampling tables — possibly
-    /// shared with other analyses through a [`PrecharCache`].
+    /// Level set, phase track, natural solve and sampling tables (and the
+    /// grids, once a figure accessor asked for them) — possibly shared with
+    /// other analyses through a [`PrecharCache`].
     prechar: Arc<Precharacterization>,
     /// Resolved worker-thread count (from [`ShilOptions::parallelism`]).
     threads: usize,
@@ -325,7 +336,7 @@ impl<'a, N: Nonlinearity + Sync + ?Sized, T: Tank + Sync + ?Sized> ShilAnalysis<
     ///
     /// - [`ShilError::InvalidParameter`] for `n = 0` or `vi ≤ 0`.
     /// - [`ShilError::NoOscillation`] if the oscillator has no stable
-    ///   natural oscillation (the grid is scaled from it).
+    ///   natural oscillation (the amplitude window is scaled from it).
     pub fn new(
         nonlinearity: &'a N,
         tank: &'a T,
@@ -343,7 +354,6 @@ impl<'a, N: Nonlinearity + Sync + ?Sized, T: Tank + Sync + ?Sized> ShilAnalysis<
             n,
             vi,
             &opts,
-            threads,
         )?);
         Ok(ShilAnalysis {
             nonlinearity,
@@ -355,13 +365,14 @@ impl<'a, N: Nonlinearity + Sync + ?Sized, T: Tank + Sync + ?Sized> ShilAnalysis<
         })
     }
 
-    /// Like [`Self::new`], but serving the natural solve and the grid
-    /// pre-characterization from `cache` when the oscillator's elements
-    /// carry fingerprints (falling back to an uncached build otherwise).
+    /// Like [`Self::new`], but serving the natural solve and the
+    /// pre-characterization (the traced `C_{T_f,1}`) from `cache` when the
+    /// oscillator's elements carry fingerprints (falling back to an
+    /// uncached build otherwise).
     ///
     /// A sweep that constructs many analyses over the same oscillator —
     /// e.g. one per injection frequency, as the Tab. 1/Fig. 14 experiments
-    /// do — pays for a single grid build; every further construction is a
+    /// do — pays for a single build; every further construction is a
     /// lookup.
     ///
     /// # Errors
@@ -401,7 +412,7 @@ impl<'a, N: Nonlinearity + Sync + ?Sized, T: Tank + Sync + ?Sized> ShilAnalysis<
             options: grid_options_fingerprint(&opts),
         };
         let prechar = cache.grid_or_insert(key, || {
-            Self::build_prechar(nonlinearity, tank, natural, n, vi, &opts, threads)
+            Self::build_prechar(nonlinearity, tank, natural, n, vi, &opts)
         })?;
         Ok(ShilAnalysis {
             nonlinearity,
@@ -457,61 +468,45 @@ impl<'a, N: Nonlinearity + Sync + ?Sized, T: Tank + Sync + ?Sized> ShilAnalysis<
         n: u32,
         vi: f64,
         opts: &ShilOptions,
-        threads: usize,
     ) -> Result<Precharacterization, ShilError> {
         let r = tank.peak_resistance();
         let a_lo = opts.a_min_factor * natural.amplitude;
         let a_hi = opts.a_max_factor * natural.amplitude;
-        let (nx, ny) = (opts.phase_points, opts.amplitude_points);
-
-        // One batched sampling pass per evaluated node yields both fields;
-        // the φ > π half is mirrored from the φ ≤ π half.
-        let amps: Vec<f64> = (0..ny)
+        let ny = opts.amplitude_points;
+        let amplitudes: Vec<f64> = (0..ny)
             .map(|j| a_lo + (a_hi - a_lo) * j as f64 / (ny - 1) as f64)
             .collect();
-        let table = HarmonicTable::new(n, 1, &opts.harmonics);
-        let (tf_grid, angle_grid) =
-            precharacterize(nonlinearity, r, vi, nx, &amps, &table, threads)?;
-        // Non-finite nodes are tolerated — marching squares masks the cells
-        // around them — but their count is kept so every downstream query
-        // can flag its answers as degraded.
-        let non_finite_cells = (0..ny)
-            .flat_map(|j| (0..nx).map(move |i| (i, j)))
-            .filter(|&(i, j)| {
-                !tf_grid.value(i, j).is_finite() || !angle_grid.value(i, j).is_finite()
-            })
-            .count();
-        if non_finite_cells == nx * ny {
-            return Err(ShilError::InvalidParameter(
-                "pre-characterization produced no finite grid values \
-                 (nonlinearity non-finite over the whole (φ, A) plane)"
-                    .into(),
-            ));
+        // NaN-rejecting strict-increase check: the lazily filled grids take
+        // this axis as it is.
+        if amplitudes
+            .windows(2)
+            .any(|w| w[1].partial_cmp(&w[0]) != Some(std::cmp::Ordering::Greater))
+        {
+            return Err(ShilError::InvalidParameter(format!(
+                "amplitude axis [{a_lo}, {a_hi}] is not strictly increasing"
+            )));
         }
-        let tf_unity = marching_squares(&tf_grid, 1.0)?;
-        let mut buf = table.scratch();
-        let phase_track = tf_unity
-            .iter()
-            .map(|line| {
-                line.points
-                    .iter()
-                    .map(|p| neg_angle(table.i1(nonlinearity, p.y, vi, p.x, &mut buf)))
-                    .collect()
-            })
-            .collect();
+        let table = HarmonicTable::new(n, 1, &opts.harmonics);
+        let track = {
+            let _span = shil_observe::span("shil_core_track");
+            trace_unity(nonlinearity, r, vi, &table, opts.phase_points, &amplitudes)?
+        };
+        shil_observe::counter_add("shil_core_track_evals_total", track.evals);
         Ok(Precharacterization {
             natural,
             r,
             table,
-            tf_grid,
-            angle_grid,
-            tf_unity,
-            phase_track,
-            non_finite_cells,
+            phase_points: opts.phase_points,
+            amplitudes,
+            tf_unity: track.curves,
+            phase_track: track.angles,
+            trace_track: track.traces,
+            non_finite_evals: track.non_finite,
+            grids: OnceLock::new(),
         })
     }
 
-    /// The natural oscillation the grids were scaled from.
+    /// The natural oscillation the amplitude window was scaled from.
     pub fn natural(&self) -> NaturalOscillation {
         self.prechar.natural
     }
@@ -526,17 +521,38 @@ impl<'a, N: Nonlinearity + Sync + ?Sized, T: Tank + Sync + ?Sized> ShilAnalysis<
         self.vi
     }
 
-    /// The pre-characterized `T_f(φ, A)` grid (x = φ, y = A).
+    /// The `T_f` and `∠−I₁` grids of [`precharacterize`], filled on first
+    /// use and then held by the (possibly shared) pre-characterization.
+    fn grids(&self) -> &(Grid2, Grid2) {
+        let p = &self.prechar;
+        p.grids.get_or_init(|| {
+            precharacterize(
+                self.nonlinearity,
+                p.r,
+                self.vi,
+                p.phase_points,
+                &p.amplitudes,
+                &p.table,
+                self.threads,
+            )
+            .expect("phase points and amplitude axis are validated at construction")
+        })
+    }
+
+    /// The pre-characterized `T_f(φ, A)` grid (x = φ, y = A), filled on
+    /// first use.
     pub fn tf_grid(&self) -> &Grid2 {
-        &self.prechar.tf_grid
+        &self.grids().0
     }
 
-    /// The pre-characterized `∠−I₁(φ, A)` grid, wrapped to `(−π, π]`.
+    /// The pre-characterized `∠−I₁(φ, A)` grid, wrapped to `(−π, π]`,
+    /// filled on first use.
     pub fn angle_grid(&self) -> &Grid2 {
-        &self.prechar.angle_grid
+        &self.grids().1
     }
 
-    /// The injection-frequency-invariant level set `C_{T_f,1}`.
+    /// The injection-frequency-invariant level set `C_{T_f,1}`, as traced
+    /// by continuation.
     pub fn tf_unity_curve(&self) -> &[Polyline] {
         &self.prechar.tf_unity
     }
@@ -545,7 +561,7 @@ impl<'a, N: Nonlinearity + Sync + ?Sized, T: Tank + Sync + ?Sized> ShilAnalysis<
     /// wrap-around branch cut. Only the figure accessors use it; lock
     /// solutions come from the phase track.
     fn angle_isoline(&self, level: f64) -> Result<Vec<Polyline>, ShilError> {
-        let angle_grid = &self.prechar.angle_grid;
+        let angle_grid = self.angle_grid();
         let nx = angle_grid.nx();
         let ny = angle_grid.ny();
         let mut data = Vec::with_capacity(nx * ny);
@@ -705,9 +721,10 @@ impl<'a, N: Nonlinearity + Sync + ?Sized, T: Tank + Sync + ?Sized> ShilAnalysis<
         // original order — identical results at any thread count.
         let refined = self.refine_all(&raw, neg_phi_d);
 
-        // A partially masked grid means some intersections may simply be
-        // missing; anything we do find is at best grid-accurate.
-        let grid_degraded = self.prechar.non_finite_cells > 0;
+        // A non-finite evaluation may have cut the track short, so some
+        // intersections may simply be missing; anything we do find is at
+        // best grid-accurate.
+        let grid_degraded = self.prechar.non_finite_evals > 0;
 
         let mut solutions: Vec<(ShilSolution, TrackSegment)> = Vec::new();
         for (refined, segment) in refined.into_iter().zip(segments) {
@@ -782,15 +799,14 @@ impl<'a, N: Nonlinearity + Sync + ?Sized, T: Tank + Sync + ?Sized> ShilAnalysis<
     /// lands out of the amplitude range, or the raw point's residuals are
     /// non-finite/large.
     fn refine(&self, p: Point, neg_phi_d: f64, buf: &mut Vec<f64>) -> Option<(f64, f64, bool)> {
-        let tf_grid = &self.prechar.tf_grid;
-        let a_lo = tf_grid.ys()[0];
-        let a_hi = tf_grid.ys()[tf_grid.ny() - 1];
+        let amps = &self.prechar.amplitudes;
+        let (a_lo, a_hi) = (amps[0], amps[amps.len() - 1]);
         let in_range = |phi: f64, a: f64| {
             a.is_finite() && phi.is_finite() && a >= 0.25 * a_lo && a <= 1.2 * a_hi
         };
         // Grid-neighbor seeds: one cell spacing away along each axis.
-        let dphi = (tf_grid.xs()[tf_grid.nx() - 1] - tf_grid.xs()[0]) / (tf_grid.nx() - 1) as f64;
-        let da = (a_hi - a_lo) / (tf_grid.ny() - 1) as f64;
+        let dphi = self.prechar.phase_step();
+        let da = (a_hi - a_lo) / (amps.len() - 1) as f64;
         let neighbor_seeds = [
             vec![p.x + dphi, p.y],
             vec![p.x - dphi, p.y],
@@ -922,55 +938,25 @@ impl<'a, N: Nonlinearity + Sync + ?Sized, T: Tank + Sync + ?Sized> ShilAnalysis<
             .unwrap_or((false, false))
     }
 
-    /// Grid estimate of the §VI-B3 Jacobian trace at a point `p` of
-    /// `C_{T_f,1}` whose exact `∠−I₁` is `theta`, at no `I₁` evaluation.
-    ///
-    /// On the curve `φ_d = −θ`, so the trace is `A·cos θ·∂G/∂A − ∂θ/∂φ`
-    /// with `G = R·|I₁|/(A/2) = T_f / cos(∠−I₁)`; both partials come from
-    /// the bilinear interpolant of the grid cell holding `p`. The estimate
-    /// only places arc splits: arc stability and the refined lock-range end
-    /// come from the exact equations.
-    fn trace_estimate(&self, p: Point, theta: f64) -> f64 {
-        let (tf, ang) = (&self.prechar.tf_grid, &self.prechar.angle_grid);
-        let cell = |v: f64, axis: &[f64]| {
-            let h = (axis[axis.len() - 1] - axis[0]) / (axis.len() - 1) as f64;
-            let i = (((v - axis[0]) / h).floor().max(0.0) as usize).min(axis.len() - 2);
-            (i, ((v - axis[i]) / h).clamp(0.0, 1.0), h)
-        };
-        let (i, tx, dx) = cell(p.x, tf.xs());
-        let (j, ty, da) = cell(p.y, tf.ys());
-        let g = |i: usize, j: usize| tf.value(i, j) / ang.value(i, j).cos();
-        let dg_da =
-            ((g(i, j + 1) - g(i, j)) * (1.0 - tx) + (g(i + 1, j + 1) - g(i + 1, j)) * tx) / da;
-        let dth_dphi = (wrap_angle(ang.value(i + 1, j) - ang.value(i, j)) * (1.0 - ty)
-            + wrap_angle(ang.value(i + 1, j + 1) - ang.value(i, j + 1)) * ty)
-            / dx;
-        p.y * theta.cos() * dg_da - dth_dphi
-    }
-
     /// Splits the phase track into [`TrackArc`]s: maximal runs of vertices
     /// with `|φ_d| < π/2`, cut at every local extremum of `φ_d` (a fold,
-    /// where `det J = 0`) and at every sign change of
-    /// [`Self::trace_estimate`]. Neighboring arcs share their cut vertex,
-    /// so their `φ_d` images touch.
+    /// where `det J = 0`) and at every sign change of the trace estimate
+    /// the tracer stored with each vertex. The estimate only places arc
+    /// splits: arc stability and the refined lock-range end come from the
+    /// exact equations. Neighboring arcs share their cut vertex, so their
+    /// `φ_d` images touch.
     fn track_arcs(&self) -> Vec<TrackArc> {
         let mut arcs = Vec::new();
-        for (line, (poly, theta)) in self
+        for (line, (theta, trace)) in self
             .prechar
-            .tf_unity
+            .phase_track
             .iter()
-            .zip(&self.prechar.phase_track)
+            .zip(&self.prechar.trace_track)
             .enumerate()
         {
             let phi_d = |k: usize| -theta[k];
             // NaN fails the comparison: non-finite vertices end a run.
             let valid = |k: usize| phi_d(k).abs() < FRAC_PI_2;
-            let trace: Vec<f64> = poly
-                .points
-                .iter()
-                .zip(theta)
-                .map(|(p, &t)| self.trace_estimate(*p, t))
-                .collect();
             let mut k = 0;
             while k < theta.len() {
                 if !valid(k) {
@@ -1067,7 +1053,7 @@ impl<'a, N: Nonlinearity + Sync + ?Sized, T: Tank + Sync + ?Sized> ShilAnalysis<
     /// special case.
     fn refine_fold(&self, line: usize, k: usize) -> Option<f64> {
         let p = self.prechar.tf_unity[line].points[k];
-        let dx = self.cell_width();
+        let dx = self.prechar.phase_step();
         let mut buf = self.prechar.table.scratch();
         let mut a_guess = p.y;
         let (_, neg) = minimize(
@@ -1091,7 +1077,7 @@ impl<'a, N: Nonlinearity + Sync + ?Sized, T: Tank + Sync + ?Sized> ShilAnalysis<
     /// track vertex `k`. Returns `φ_d` at the root.
     fn refine_trace(&self, line: usize, k: usize) -> Option<f64> {
         let p = self.prechar.tf_unity[line].points[k];
-        let dx = self.cell_width();
+        let dx = self.prechar.phase_step();
         let mut buf = self.prechar.table.scratch();
         let mut on_curve = |phi: f64| self.project_to_unity(phi, p.y, &mut buf);
         let mut trace = |phi: f64| match on_curve(phi) {
@@ -1100,12 +1086,6 @@ impl<'a, N: Nonlinearity + Sync + ?Sized, T: Tank + Sync + ?Sized> ShilAnalysis<
         };
         let root = brent(&mut trace, p.x - dx, p.x + dx, 1e-10, 100).ok()?;
         on_curve(root).map(|(_, theta)| -theta)
-    }
-
-    /// Phase-axis spacing of the pre-characterization grid.
-    fn cell_width(&self) -> f64 {
-        let xs = self.prechar.tf_grid.xs();
-        (xs[xs.len() - 1] - xs[0]) / (xs.len() - 1) as f64
     }
 
     /// Predicts the lock range (paper §III-C, Fig. 10; validated against
@@ -1367,7 +1347,7 @@ impl<N: ?Sized, T: ?Sized> std::fmt::Debug for ShilAnalysis<'_, N, T> {
             .field("natural", &self.prechar.natural)
             .field(
                 "grid",
-                &(self.prechar.tf_grid.nx(), self.prechar.tf_grid.ny()),
+                &(self.prechar.phase_points, self.prechar.amplitudes.len()),
             )
             .field("threads", &self.threads)
             .finish()
@@ -1694,17 +1674,20 @@ mod tests {
     }
 
     /// The isoline method that `solutions_at_phase` used before the phase
-    /// track: marching squares on the masked angle grid, intersected with
-    /// `C_{T_f,1}`, then polished, deduplicated and classified alike.
+    /// track, entirely on the grids: marching squares on the masked angle
+    /// grid, intersected with the marching-squares `C_{T_f,1}` of the `T_f`
+    /// grid (not the traced curve), then polished, deduplicated and
+    /// classified alike.
     fn isoline_solutions<N, T>(an: &ShilAnalysis<'_, N, T>, phi_d: f64) -> Vec<ShilSolution>
     where
         N: Nonlinearity + Sync,
         T: Tank + Sync,
     {
-        let tf_grid = &an.prechar.tf_grid;
+        let tf_grid = an.tf_grid();
         let merge_tol = 1e-3 * tf_grid.ys()[tf_grid.ny() - 1];
         let isoline = an.angle_isoline(-phi_d).unwrap();
-        let raw = polyline_intersections(&an.prechar.tf_unity, &isoline, merge_tol);
+        let tf_unity = marching_squares(tf_grid, 1.0).unwrap();
+        let raw = polyline_intersections(&tf_unity, &isoline, merge_tol);
         let scale = 1e-6 * an.prechar.natural.amplitude.max(1.0);
         let mut out: Vec<ShilSolution> = Vec::new();
         for (phi, a, fell_back) in an.refine_all(&raw, -phi_d).into_iter().flatten() {
@@ -1769,8 +1752,167 @@ mod tests {
         Ok(())
     }
 
+    /// Bilinear estimate of the §VI-B3 trace at a point `p` of `C_{T_f,1}`
+    /// whose exact `∠−I₁` is `theta`, from the grid cell holding `p`: the
+    /// estimate the lock-range walk used before the tracer supplied one.
+    fn bilinear_trace_estimate(tf: &Grid2, ang: &Grid2, p: Point, theta: f64) -> f64 {
+        let cell = |v: f64, axis: &[f64]| {
+            let h = (axis[axis.len() - 1] - axis[0]) / (axis.len() - 1) as f64;
+            let i = (((v - axis[0]) / h).floor().max(0.0) as usize).min(axis.len() - 2);
+            (i, ((v - axis[i]) / h).clamp(0.0, 1.0), h)
+        };
+        let (i, tx, dx) = cell(p.x, tf.xs());
+        let (j, ty, da) = cell(p.y, tf.ys());
+        let g = |i: usize, j: usize| tf.value(i, j) / ang.value(i, j).cos();
+        let dg_da =
+            ((g(i, j + 1) - g(i, j)) * (1.0 - tx) + (g(i + 1, j + 1) - g(i + 1, j)) * tx) / da;
+        let dth_dphi = (wrap_angle(ang.value(i + 1, j) - ang.value(i, j)) * (1.0 - ty)
+            + wrap_angle(ang.value(i + 1, j + 1) - ang.value(i, j + 1)) * ty)
+            / dx;
+        p.y * theta.cos() * dg_da - dth_dphi
+    }
+
+    /// `an` with its traced `C_{T_f,1}` swapped for the grid build the
+    /// tracer replaced: marching squares on the `T_f` grid, one exact `I₁`
+    /// per vertex for the phase track, bilinear trace estimates.
+    fn marching_squares_twin<'a, N, T>(an: &ShilAnalysis<'a, N, T>) -> ShilAnalysis<'a, N, T>
+    where
+        N: Nonlinearity + Sync,
+        T: Tank + Sync,
+    {
+        let (tf, ang) = an.grids();
+        let tf_unity = marching_squares(tf, 1.0).unwrap();
+        let table = &an.prechar.table;
+        let mut buf = table.scratch();
+        let phase_track: Vec<Vec<f64>> = tf_unity
+            .iter()
+            .map(|line| {
+                line.points
+                    .iter()
+                    .map(|p| neg_angle(table.i1(an.nonlinearity, p.y, an.vi, p.x, &mut buf)))
+                    .collect()
+            })
+            .collect();
+        let trace_track = tf_unity
+            .iter()
+            .zip(&phase_track)
+            .map(|(line, theta)| {
+                line.points
+                    .iter()
+                    .zip(theta)
+                    .map(|(p, &t)| bilinear_trace_estimate(tf, ang, *p, t))
+                    .collect()
+            })
+            .collect();
+        let non_finite_evals = (0..tf.ny())
+            .flat_map(|j| (0..tf.nx()).map(move |i| (i, j)))
+            .filter(|&(i, j)| !tf.value(i, j).is_finite() || !ang.value(i, j).is_finite())
+            .count();
+        ShilAnalysis {
+            prechar: Arc::new(Precharacterization {
+                tf_unity,
+                phase_track,
+                trace_track,
+                non_finite_evals,
+                ..(*an.prechar).clone()
+            }),
+            ..*an
+        }
+    }
+
+    /// Distance from `p` to the segment `a`–`b`.
+    fn segment_distance(p: Point, a: Point, b: Point) -> f64 {
+        let (dx, dy) = (b.x - a.x, b.y - a.y);
+        let len2 = dx * dx + dy * dy;
+        let t = if len2 > 0.0 {
+            (((p.x - a.x) * dx + (p.y - a.y) * dy) / len2).clamp(0.0, 1.0)
+        } else {
+            0.0
+        };
+        p.distance(Point::new(a.x + t * dx, a.y + t * dy))
+    }
+
+    /// The traced `C_{T_f,1}` against the marching-squares curve of the
+    /// lazily filled `T_f` grid: the same number of components, every
+    /// traced vertex within 0.05 cell of that curve (in cell units), and
+    /// the same `φ_d_max` as the marching-squares track to 1e-9 relative.
+    fn check_trace_matches_marching_squares<N, T>(
+        f: &N,
+        t: &T,
+        n: u32,
+        vi: f64,
+    ) -> Result<(), TestCaseError>
+    where
+        N: Nonlinearity + Sync,
+        T: Tank + Sync,
+    {
+        let an = ShilAnalysis::new(f, t, n, vi, ShilOptions::default()).unwrap();
+        let twin = marching_squares_twin(&an);
+        let traced = an.tf_unity_curve();
+        let grid_curve = twin.tf_unity_curve();
+        prop_assert_eq!(traced.len(), grid_curve.len());
+        let (dphi, amps) = (an.prechar.phase_step(), &an.prechar.amplitudes);
+        let da = (amps[amps.len() - 1] - amps[0]) / (amps.len() - 1) as f64;
+        let cells = |p: &Point| Point::new(p.x / dphi, p.y / da);
+        let segments: Vec<(Point, Point)> = grid_curve
+            .iter()
+            .flat_map(|line| line.points.windows(2).map(|w| (cells(&w[0]), cells(&w[1]))))
+            .collect();
+        for p in traced.iter().flat_map(|line| &line.points) {
+            let d = segments
+                .iter()
+                .map(|&(a, b)| segment_distance(cells(p), a, b))
+                .fold(f64::INFINITY, f64::min);
+            prop_assert!(
+                d <= 0.05,
+                "n={} vi={}: vertex {:?} is {} cells off",
+                n,
+                vi,
+                p,
+                d
+            );
+        }
+        match (an.lock_range(), twin.lock_range()) {
+            (Ok(a), Ok(b)) => prop_assert!(
+                (a.phi_d_max - b.phi_d_max).abs() <= 1e-9 * b.phi_d_max,
+                "n={} vi={}: traced {} vs marching squares {}",
+                n,
+                vi,
+                a.phi_d_max,
+                b.phi_d_max
+            ),
+            (Err(ShilError::NoLock), Err(ShilError::NoLock)) => {}
+            (a, b) => prop_assert!(false, "n={} vi={}: {:?} vs {:?}", n, vi, a, b),
+        }
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]
+
+        #[test]
+        fn traced_curve_matches_marching_squares(
+            family in 0usize..3,
+            vi in 0.01f64..0.05,
+            n in 2u32..4,
+        ) {
+            let rlc = |r| ParallelRlc::new(r, 10e-6, 10e-9).unwrap();
+            match family {
+                0 => check_trace_matches_marching_squares(&NegativeTanh::new(1e-3, 20.0), &rlc(1000.0), n, vi)?,
+                1 => check_trace_matches_marching_squares(
+                    &Polynomial::new(vec![0.0, -5e-3, 0.0, 4e-3]).unwrap(),
+                    &rlc(300.0),
+                    n,
+                    vi,
+                )?,
+                _ => check_trace_matches_marching_squares(
+                    &TunnelDiode::new().biased_at(0.25),
+                    &ParallelRlc::new(3753.858330376428, 10e-9, 10e-12).unwrap(),
+                    n,
+                    vi,
+                )?,
+            }
+        }
 
         /// Reading crossings off the phase track finds the same solutions
         /// as intersecting `C_{T_f,1}` with a fresh isoline, anywhere inside

@@ -88,6 +88,10 @@
 //! - `--events-out [path]` — additionally mirror every progress event to a
 //!   JSONL file (default `results/events_shil_cli.jsonl`).
 //!
+//! A `--flag` that neither the subcommand's usage line nor the global list
+//! names is a usage error (exit `2`), so a misspelt or retired flag is not
+//! silently ignored.
+//!
 //! See `shil_circuit::netlist` for the accepted netlist cards.
 
 use std::process::ExitCode;
@@ -127,6 +131,78 @@ fn usage() -> ExitCode {
          global flags: [--quiet] [--metrics-out [path]] [--events-out [path]]"
     );
     ExitCode::from(2)
+}
+
+/// Flags every subcommand accepts.
+const GLOBAL_FLAGS: [&str; 3] = ["--quiet", "--metrics-out", "--events-out"];
+
+/// The flags `cmd`'s usage line lists; `None` for an unknown subcommand.
+fn subcommand_flags(cmd: &str) -> Option<&'static [&'static str]> {
+    Some(match cmd {
+        "op" => &[],
+        "tran" => &["--dt", "--stop", "--probe", "--timeout", "--csv"],
+        "ac" => &["--port", "--from", "--to", "--points", "--csv"],
+        "sweep" => &[
+            "--dt",
+            "--stop",
+            "--probe",
+            "--scale",
+            "--threads",
+            "--timeout",
+            "--item-timeout",
+            "--retries",
+            "--checkpoint",
+            "--resume",
+            "--csv",
+            "--progress",
+        ],
+        "atlas" => &[
+            "--nx",
+            "--ny",
+            "--coarse",
+            "--spp",
+            "--horizon",
+            "--n",
+            "--no-early-exit",
+            "--no-warm-start",
+            "--threads",
+            "--timeout",
+            "--item-timeout",
+            "--retries",
+            "--checkpoint",
+            "--resume",
+            "--csv",
+            "--progress",
+        ],
+        "network" => &[
+            "--n",
+            "--topology",
+            "--coupling",
+            "--strength",
+            "--detune",
+            "--settle",
+            "--record",
+            "--ppp",
+            "--solver",
+            "--threads",
+            "--csv",
+        ],
+        "serve" => &[
+            "--addr",
+            "--data-dir",
+            "--queue",
+            "--workers",
+            "--http-threads",
+            "--cache",
+            "--max-body",
+            "--grace",
+            "--sweep-threads",
+            "--quarantine-after",
+            "--allow-chaos",
+            "--chaos-storage",
+        ],
+        _ => return None,
+    })
 }
 
 fn flag_value(args: &[String], flag: &str) -> Option<String> {
@@ -291,6 +367,15 @@ fn run(args: &[String], log: &EventLog) -> ExitCode {
     let Some(cmd) = args.first() else {
         return usage();
     };
+    let Some(known) = subcommand_flags(cmd) else {
+        return usage();
+    };
+    if let Some(flag) = args[1..].iter().find(|a| {
+        a.starts_with("--") && !known.contains(&a.as_str()) && !GLOBAL_FLAGS.contains(&a.as_str())
+    }) {
+        eprintln!("unknown flag for `{cmd}`: {flag}");
+        return usage();
+    }
     if cmd == "serve" {
         return serve_cmd(&args[1..], log);
     }

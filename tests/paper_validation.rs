@@ -170,6 +170,67 @@ fn diff_pair_lock_range_prediction_agrees_with_simulation() {
     );
 }
 
+/// The largest `φ_d` along the exact `C_{T_f,1}` over `0 < φ < π`, found
+/// without the analysis' own curve: at each trial `φ`, secant iterations
+/// on the exact `T_f − 1` residual solve `A` onto the curve from
+/// `a_start`, and `φ_d = −∠−I₁` there. A 64-point scan brackets the peak,
+/// golden-section search refines it.
+fn exact_fold_phi_d<N, T>(an: &ShilAnalysis<'_, N, T>, a_start: f64) -> f64
+where
+    N: shil::core::Nonlinearity + Sync,
+    T: Tank + Sync,
+{
+    let phi_d = |phi: f64| {
+        let residual = |a: f64| an.residuals(phi, a, 0.0).0;
+        let (mut a0, mut a1) = (a_start * 1.001, a_start);
+        let (mut r0, mut r1) = (residual(a0), residual(a1));
+        for _ in 0..60 {
+            if r1.abs() < 1e-14 || r1 == r0 {
+                break;
+            }
+            (a0, r0, a1) = (a1, r1, a1 - r1 * (a1 - a0) / (r1 - r0));
+            r1 = residual(a1);
+        }
+        -an.residuals(phi, a1, 0.0).1
+    };
+    let step = std::f64::consts::PI / 64.0;
+    let peak = (1..64)
+        .max_by(|&i, &j| phi_d(i as f64 * step).total_cmp(&phi_d(j as f64 * step)))
+        .expect("samples");
+    let (mut lo, mut hi) = ((peak - 1) as f64 * step, (peak + 1) as f64 * step);
+    let g = 0.5 * (5f64.sqrt() - 1.0);
+    while hi - lo > 1e-9 {
+        let (x1, x2) = (hi - g * (hi - lo), lo + g * (hi - lo));
+        if phi_d(x1) > phi_d(x2) {
+            hi = x2;
+        } else {
+            lo = x1;
+        }
+    }
+    phi_d(0.5 * (lo + hi))
+}
+
+/// Table 1's lock range ends where `φ_d` peaks on the exact `C_{T_f,1}`
+/// (a saddle-node fold). Tracing the curve puts the walk's end there; a
+/// curve read off a grid by marching squares interpolates between nodes,
+/// and on this extracted I–V curve that put a spurious fold 1.8e-3 below
+/// the exact one.
+#[test]
+fn diff_pair_lock_range_ends_at_the_exact_fold() {
+    let params = DiffPairParams::calibrated(0.505).expect("calibration");
+    let f = params.extract_iv_curve().expect("extraction");
+    let tank = params.tank().expect("tank");
+    let an = ShilAnalysis::new(&f, &tank, N, VI, ShilOptions::default()).expect("analysis");
+    let lock = an.lock_range().expect("lock range");
+    assert!(!lock.degraded);
+    let fold = exact_fold_phi_d(&an, an.natural().amplitude);
+    assert!(
+        (lock.phi_d_max - fold).abs() <= 1e-9 * fold,
+        "walk {} vs exact fold {fold}",
+        lock.phi_d_max
+    );
+}
+
 /// The §III-C validation scan as a parallel fan-out: probe a frequency
 /// grid bracketing the predicted lock range in one sweep and check the
 /// verdict pattern (unlocked – locked – unlocked) lands where the
