@@ -1,27 +1,26 @@
-//! Per-step transient cost of coupled-oscillator networks across the three
-//! linear-solver tiers — the measurement behind
-//! `SolverKind::ITERATIVE_CROSSOVER`.
+//! Per-step transient cost of coupled-oscillator networks across the
+//! direct linear-solver tiers — the measurement behind `SolverKind::Auto`
+//! handing every network to sparse LU with the bypass certificate.
 //!
 //! Rings of detuned tanh LC oscillators (two unknowns each: tank node +
 //! inductor branch) are scaled from ~10² to ~10³ MNA unknowns and a short
-//! transient is timed under dense LU, sparse LU, and GMRES + ILU(0). Each
-//! tier is measured in two regimes:
+//! transient is timed under dense LU and sparse LU. Each tier is measured
+//! in two regimes:
 //!
 //! - **steady** — the production configuration, where the factorization
 //!   bypass certificate serves most Newton iterations from a stale LU and
-//!   per-step cost is dominated by stamping plus the certificate residual
-//!   (all tiers converge to within ~15% of each other here);
+//!   per-step cost is dominated by stamping plus the certificate residual;
+//!   `steady_factorizations` counts the refactorizations that still ran;
 //! - **refactor** — the bypass disabled, so every Newton iteration pays
-//!   its tier's factorization. This is the regime that decides start-up,
-//!   kicks, and step-halving recovery, and the one the crossover is tuned
-//!   on: sparse LU scatters into an O(n²) working buffer per
-//!   refactorization while ILU(0) + GMRES stays O(nnz) per iteration.
+//!   its tier's factorization (sparse LU scatters into an O(n²) working
+//!   buffer). This is the cost the certificate avoids, and what start-up,
+//!   kicks and step-halving recovery pay.
 //!
-//! Dense is skipped — and the skip logged — above the size where its cubic
-//! factorization stops being informative. The largest rung sits well past
-//! the crossover and must show the iterative tier at least 2× faster per
-//! refactoring step than sparse LU; the asserted ratio lands in the JSON
-//! for regression tracking.
+//! Sparse LU wins in steady state because it refactorizes only a handful
+//! of times per run; CI gates that count (`steady_factorizations ≤ 4`) and
+//! `auto_tier == "sparse"` on every rung. Dense is skipped — and the skip
+//! logged — above the size where its cubic factorization stops being
+//! informative.
 //!
 //! Writes `results/BENCH_network.json`. Pass `--quick` for a seconds-scale
 //! smoke run (same fields, fewer reps and shorter transients) — used by
@@ -83,7 +82,6 @@ struct Rung {
     /// `None` = skipped (dense factorization too slow to be informative).
     dense: Option<[Regime; 2]>,
     sparse: [Regime; 2],
-    iterative: [Regime; 2],
 }
 
 /// Times `kind` on `net` in both regimes: `[steady, refactor]`.
@@ -135,13 +133,12 @@ fn json_ladder(rungs: &[Rung]) -> String {
         .map(|r| {
             format!(
                 "    {{\"oscillators\": {}, \"unknowns\": {}, \"auto_tier\": \"{}\",\n     \
-                 \"dense\": {},\n     \"sparse\": {},\n     \"iterative\": {}}}",
+                 \"dense\": {},\n     \"sparse\": {}}}",
                 r.oscillators,
                 r.unknowns,
                 r.auto_tier,
                 r.dense.as_ref().map_or("null".into(), json_regimes),
                 json_regimes(&r.sparse),
-                json_regimes(&r.iterative),
             )
         })
         .collect();
@@ -154,8 +151,7 @@ fn main() {
     let log = &obs.log;
     let budget = harness_budget();
     let cores = shil::core::shil::effective_parallelism(None);
-    // Two unknowns per oscillator: the ladder spans ~10²–10³ unknowns and
-    // straddles `ITERATIVE_CROSSOVER`.
+    // Two unknowns per oscillator: the ladder spans ~10²–10³ unknowns.
     let sizes: &[usize] = &[56, 128, 256, 448];
     // Dense LU is O(n³) per refactorization; past this many unknowns the
     // refactor regime would dominate the harness runtime without adding
@@ -196,7 +192,6 @@ fn main() {
             None
         };
         let sparse = time_tier(&net, SolverKind::Sparse, periods, ppp, reps, &budget);
-        let iterative = time_tier(&net, SolverKind::Iterative, periods, ppp, reps, &budget);
         log.info(
             "network_rung",
             &[
@@ -204,8 +199,10 @@ fn main() {
                 ("unknowns", (unknowns as u64).into()),
                 ("sparse_steady_us", sparse[0].us_per_step.into()),
                 ("sparse_refactor_us", sparse[1].us_per_step.into()),
-                ("iterative_steady_us", iterative[0].us_per_step.into()),
-                ("iterative_refactor_us", iterative[1].us_per_step.into()),
+                (
+                    "sparse_steady_factorizations",
+                    (sparse[0].factorizations as u64).into(),
+                ),
             ],
         );
         rungs.push(Rung {
@@ -214,63 +211,21 @@ fn main() {
             auto_tier: match SolverKind::Auto.resolve(unknowns) {
                 SolverKind::Dense => "dense",
                 SolverKind::Sparse => "sparse",
-                SolverKind::Iterative => "iterative",
                 SolverKind::Auto => unreachable!("resolve returns a concrete tier"),
             },
             dense,
             sparse,
-            iterative,
         });
     }
-
-    // The acceptance gate: at the largest network the iterative tier must
-    // be at least 2× faster than sparse LU in the refactoring regime —
-    // that headroom is what justifies `ITERATIVE_CROSSOVER` sitting where
-    // it does. (In the steady regime the bypass certificate levels the
-    // tiers; the JSON records both so the trade stays visible.)
-    let largest = rungs.last().expect("ladder is non-empty");
-    let speedup = largest.sparse[1].us_per_step / largest.iterative[1].us_per_step;
-    let steady_ratio = largest.iterative[0].us_per_step / largest.sparse[0].us_per_step;
-    assert!(
-        largest.unknowns > SolverKind::ITERATIVE_CROSSOVER,
-        "largest rung ({} unknowns) must exceed the crossover ({})",
-        largest.unknowns,
-        SolverKind::ITERATIVE_CROSSOVER
-    );
-    assert!(
-        speedup >= 2.0,
-        "iterative tier must be ≥2× sparse LU per refactoring step at {} unknowns, got {:.2}×",
-        largest.unknowns,
-        speedup
-    );
-    log.info(
-        "network_speedup",
-        &[
-            ("unknowns", (largest.unknowns as u64).into()),
-            ("refactor_iterative_vs_sparse", speedup.into()),
-            ("steady_iterative_over_sparse", steady_ratio.into()),
-        ],
-    );
 
     let json = format!(
         "{{\n  \"cores\": {},\n  \"quick\": {},\n  \"topology\": \"ring\",\n  \
          \"coupling\": \"resistive\",\n  \"points_per_period\": {},\n  \
-         \"iterative_crossover\": {},\n  \"ladder\": {},\n  \
-         \"largest\": {{\"unknowns\": {}, \
-         \"sparse_refactor_us_per_step\": {:.4}, \
-         \"iterative_refactor_us_per_step\": {:.4}, \
-         \"refactor_speedup_iterative_vs_sparse\": {:.3}, \
-         \"steady_ratio_iterative_over_sparse\": {:.3}}}\n}}\n",
+         \"ladder\": {}\n}}\n",
         cores,
         quick,
         ppp,
-        SolverKind::ITERATIVE_CROSSOVER,
         json_ladder(&rungs),
-        largest.unknowns,
-        largest.sparse[1].us_per_step,
-        largest.iterative[1].us_per_step,
-        speedup,
-        steady_ratio,
     );
     let path = results_dir().join("BENCH_network.json");
     std::fs::write(&path, json).expect("write json");

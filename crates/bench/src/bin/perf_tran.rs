@@ -9,23 +9,27 @@
 //!
 //! For each circuit, measures per-step transient solve time for three
 //! solver configurations — dense without factorization reuse (the seed
-//! engine's behaviour), dense with the bypass certificate, sparse with the
-//! bypass certificate — asserting sparse and dense produce bit-identical
-//! waveforms, and reports the factorization / reuse split. Then times a
-//! 25-point injection-frequency sweep of the loaded oscillator: serial
-//! dense without reuse vs the parallel sparse sweep engine.
+//! engine's behaviour), then dense and sparse at the production reuse
+//! setting (the bypass certificate runs from `TranOptions::REUSE_MIN_DIM`
+//! unknowns up, so the 9-unknown pair refactorizes every iteration and the
+//! 129-unknown one reuses) — asserting sparse and dense produce
+//! bit-identical waveforms, and reports the factorization / reuse split.
+//! Then times a 25-point injection-frequency sweep of the loaded
+//! oscillator: serial dense without reuse vs the parallel sparse sweep
+//! engine.
 //!
 //! Progress goes through structured `shil-observe` events (`--quiet`
 //! silences the human rendering; `--events-out [path]` mirrors them to
 //! JSONL). With `--metrics-out [path]` the process-wide metric registry is
 //! enabled and a run manifest lands next to the JSON artifact.
 //!
-//! A three-tier (dense / sparse / GMRES+ILU) per-step ladder across system
-//! sizes, the measurement behind `SolverKind::Auto`'s crossovers, lands in
-//! the JSON as `auto_crossover`. A second ladder over small systems (9–25
-//! unknowns) times the bypass certificate against plain refactorization,
-//! pinning the `TranOptions::REUSE_MIN_DIM` crossover; it lands as
-//! `reuse_threshold`.
+//! A dense / sparse per-step ladder across system sizes, the measurement
+//! behind `SolverKind::Auto`'s crossover, lands in the JSON as
+//! `auto_crossover`; its rungs run the same configuration and horizon as
+//! the circuit rows, so its 9-unknown rung re-measures the `diff_pair`
+//! row. A second ladder over small systems (9–25 unknowns) times the
+//! bypass certificate against plain refactorization, pinning the
+//! `TranOptions::REUSE_MIN_DIM` crossover; it lands as `reuse_threshold`.
 //!
 //! Writes `results/BENCH_tran.json` for regression tracking. Pass
 //! `--quick` for a seconds-scale smoke run (same fields, shorter
@@ -88,13 +92,10 @@ fn tran_options(
         .with_ic(kick_node, params.vcc + 0.05)
         .with_budget(harness_budget());
     opts.solver = solver;
-    if reuse {
-        // The reuse configs measure the certificate machinery itself, so
-        // force it on even below `REUSE_MIN_DIM` (the production default
-        // would skip it for the 9-unknown paper circuit — the regression
-        // the `reuse_threshold` ladder quantifies).
-        opts = opts.with_reuse_min_dim(0);
-    } else {
+    // With `reuse` the production bypass setting stays as it is: the
+    // certificate runs from `REUSE_MIN_DIM` unknowns up (the
+    // `reuse_threshold` ladder times it forced on and off below that).
+    if !reuse {
         opts.reuse_tolerance = 0.0;
     }
     opts
@@ -130,7 +131,8 @@ fn max_deviation(a: &TranResult, b: &TranResult, node: NodeId) -> f64 {
 struct CircuitBench {
     unknowns: usize,
     steps: usize,
-    /// Seconds per accepted step: [dense_noreuse, dense_reuse, sparse_reuse].
+    /// Seconds per accepted step: [dense_noreuse, dense_reuse, sparse_reuse];
+    /// the `reuse` configs run the production `REUSE_MIN_DIM` setting.
     per_step: [f64; 3],
     factorizations: usize,
     reuses: usize,
@@ -206,25 +208,17 @@ fn bench_circuit(
 }
 
 /// One rung of the `SolverKind::Auto` crossover ladder: per-step time of
-/// all three backends (each with the production reuse setting) at one
-/// system size. This is the measurement behind the dense↔sparse constant
-/// in `SolverKind::resolve` — the per-config story (reuse on/off) lives in
-/// the two `bench_circuit` calls; here the backends run the engine default
-/// so the numbers answer exactly the question `Auto` has to decide.
-///
-/// The iterative column documents why the GMRES tier does *not* engage on
-/// this circuit family: the injection voltage source contributes branch
-/// rows with structurally zero diagonals, so ILU(0) breaks down and every
-/// Krylov solve falls back to the embedded exact LU — pure overhead. The
-/// sparse↔iterative leg of the crossover is tuned on coupled-oscillator
-/// networks (diagonal-rich MNA, ~10²–10³ unknowns) by `perf_network`,
-/// which also measures the refactorization path the bypass certificate
-/// hides here; its artifact is `BENCH_network.json`.
+/// both backends at one system size, each with the production reuse
+/// setting and the circuit rows' horizon. This is the measurement behind
+/// the dense↔sparse constant in `SolverKind::resolve`: the backends run
+/// the engine default, so the numbers answer exactly the question `Auto`
+/// has to decide. Networks of ~10²–10³ unknowns, where refactorization
+/// cost decides more, are measured by `perf_network`
+/// (`BENCH_network.json`).
 struct CrossoverPoint {
     unknowns: usize,
     dense_us: f64,
     sparse_us: f64,
-    iterative_us: f64,
 }
 
 fn bench_crossover(
@@ -240,8 +234,8 @@ fn bench_crossover(
         .map(|&sections| {
             let (ckt, node) = injected_diff_pair(params, f_inj, sections);
             let unknowns = MnaStructure::new(&ckt).size();
-            let mut us = [0.0f64; 3];
-            for (slot, kind) in [SolverKind::Dense, SolverKind::Sparse, SolverKind::Iterative]
+            let mut us = [0.0f64; 2];
+            for (slot, kind) in [SolverKind::Dense, SolverKind::Sparse]
                 .into_iter()
                 .enumerate()
             {
@@ -258,14 +252,12 @@ fn bench_crossover(
                     ("unknowns", (unknowns as u64).into()),
                     ("dense_us_per_step", us[0].into()),
                     ("sparse_us_per_step", us[1].into()),
-                    ("iterative_us_per_step", us[2].into()),
                 ],
             );
             CrossoverPoint {
                 unknowns,
                 dense_us: us[0],
                 sparse_us: us[1],
-                iterative_us: us[2],
             }
         })
         .collect()
@@ -350,9 +342,8 @@ fn json_crossover(points: &[CrossoverPoint]) -> String {
         .iter()
         .map(|p| {
             format!(
-                "{{ \"unknowns\": {}, \"dense_us\": {:.4}, \"sparse_us\": {:.4}, \
-                 \"iterative_us\": {:.4} }}",
-                p.unknowns, p.dense_us, p.sparse_us, p.iterative_us
+                "{{ \"unknowns\": {}, \"dense_us\": {:.4}, \"sparse_us\": {:.4} }}",
+                p.unknowns, p.dense_us, p.sparse_us
             )
         })
         .collect();
@@ -401,10 +392,9 @@ fn main() {
     manifest.push_config("sweep_periods", sweep_periods);
 
     let paper_bench = bench_circuit(log, "diff pair", params, f_inj, 0, periods, reps);
-    assert!(
-        paper_bench.reuse_rate > 0.5,
-        "expected most Newton iterations served by reuse, got {}",
-        paper_bench.reuse_rate
+    assert_eq!(
+        paper_bench.reuses, 0,
+        "the 9-unknown pair sits below REUSE_MIN_DIM, so every iteration refactorizes"
     );
     let loaded_bench = bench_circuit(
         log,
@@ -414,6 +404,11 @@ fn main() {
         sections,
         periods,
         reps,
+    );
+    assert!(
+        loaded_bench.reuse_rate > 0.5,
+        "expected most Newton iterations served by reuse, got {}",
+        loaded_bench.reuse_rate
     );
 
     // --- 25-point lock sweep of the loaded oscillator ---------------------
@@ -474,14 +469,12 @@ fn main() {
         ],
     );
 
-    let crossover = bench_crossover(log, params, f_inj, periods.min(60.0), reps);
+    let crossover = bench_crossover(log, params, f_inj, periods, reps);
     let reuse_threshold = bench_reuse_threshold(log, params, f_inj, periods.min(60.0), reps);
 
     let json = format!(
         "{{\n  \"cores\": {},\n  \"quick\": {},\n  \"diff_pair\": {},\n  \
          \"loaded_diff_pair\": {},\n  \"auto_crossover\": {},\n  \
-         \"iterative_crossover\": {},\n  \
-         \"iterative_crossover_measured_by\": \"BENCH_network.json\",\n  \
          \"reuse_threshold\": {},\n  \"sweep25_points\": 25,\n  \
          \"sweep25_serial_dense_s\": {:.6e},\n  \
          \"sweep25_parallel_sparse_s\": {:.6e},\n  \"sweep25_speedup\": {:.3}\n}}\n",
@@ -490,7 +483,6 @@ fn main() {
         json_circuit(&paper_bench),
         json_circuit(&loaded_bench),
         json_crossover(&crossover),
-        SolverKind::ITERATIVE_CROSSOVER,
         json_reuse_threshold(&reuse_threshold),
         t_serial,
         t_parallel,

@@ -9,7 +9,6 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use shil_numerics::iterative::GmresSolver;
 use shil_numerics::solver::{BypassSolver, DenseSolver, LinearSolver};
 use shil_numerics::sparse::{SparseMatrix, SparseSolver};
 use shil_numerics::{Matrix, NumericsError};
@@ -29,57 +28,35 @@ use super::op::{operating_point_inner, OpOptions};
 /// Linear-solver backend for the transient Newton loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolverKind {
-    /// Three-tier ladder: dense LU up to a dozen unknowns, sparse LU in the
-    /// mid range, GMRES+ILU(0) beyond [`SolverKind::ITERATIVE_CROSSOVER`]
-    /// unknowns. The dense and sparse backends produce bit-identical
-    /// solutions (they share the same elimination kernel and pivot order);
-    /// the iterative tier answers to its residual certificate instead, so
-    /// `Auto` only engages it at sizes where direct factorization is
-    /// measurably slower.
+    /// Two-tier ladder: dense LU up to a dozen unknowns, sparse LU above.
+    /// The two backends produce bit-identical solutions (they share the
+    /// same elimination kernel and pivot order), so the choice never
+    /// changes results, only speed.
     #[default]
     Auto,
     /// Always the preallocated dense LU.
     Dense,
     /// Always the CSR-stamped solver with symbolic-pattern reuse.
     Sparse,
-    /// Restarted GMRES(m) with an ILU(0) preconditioner over the circuit's
-    /// CSR pattern ([`shil_numerics::iterative::GmresSolver`]). Small
-    /// systems (below the solver's own direct threshold) run its embedded
-    /// exact LU and stay bit-identical to [`SolverKind::Sparse`]; large
-    /// systems answer Krylov solves certified against the true residual,
-    /// with exact-LU fallback on stagnation or breakdown.
-    Iterative,
 }
 
 impl SolverKind {
-    /// The `Auto` crossover from sparse LU to GMRES+ILU(0), in unknowns.
-    ///
-    /// Measured by `perf_network` (`results/BENCH_network.json`): per-step
-    /// times for ring networks of tanh-LC oscillators put the iterative
-    /// tier ahead of sparse LU from a few hundred unknowns (the sparse
-    /// solver's dense-scatter refactorization grows O(n²); the ILU rebuild
-    /// is O(nnz)) with ≥2× at ~10³. `384` keeps every direct-solve
-    /// regression suite on the bit-exact sparse path while handing
-    /// genuinely large networks to the Krylov tier.
-    pub const ITERATIVE_CROSSOVER: usize = 384;
-
     /// The backend actually used for an `n`-unknown system.
     ///
-    /// Both crossovers are empirical. The dense→sparse rung is recorded as
-    /// `auto_crossover` in `results/BENCH_tran.json` by `perf_tran`: dense
-    /// only wins at the smallest rung (9 unknowns, 2.6 µs vs 2.8 µs); by 17
-    /// unknowns sparse is already ~1.6× faster (5.2 µs vs 8.5 µs) and the
-    /// gap widens monotonically (4.5× at 129). `12` keeps the paper's
-    /// 9-unknown diff pair on the dense path. The sparse→iterative rung is
-    /// [`SolverKind::ITERATIVE_CROSSOVER`], measured by `perf_network` in
-    /// `results/BENCH_network.json`.
+    /// The dense→sparse rung is recorded as `auto_crossover` in
+    /// `results/BENCH_tran.json` by `perf_tran`, measured under the
+    /// production reuse setting ([`TranOptions::REUSE_MIN_DIM`]). From 17
+    /// unknowns up sparse LU is faster at every rung; `12` keeps the paper's
+    /// 9-unknown diff pair on the dense path. Sparse LU also serves the
+    /// largest systems: on coupled rings of up to 896 unknowns the bypass
+    /// certificate leaves it two refactorizations per run
+    /// (`results/BENCH_network.json`).
     pub fn resolve(self, n: usize) -> SolverKind {
         match self {
-            SolverKind::Auto if n > Self::ITERATIVE_CROSSOVER => SolverKind::Iterative,
             SolverKind::Auto if n > 12 => SolverKind::Sparse,
             SolverKind::Auto => SolverKind::Dense,
             // The sparse pattern is undefined for an empty system.
-            SolverKind::Sparse | SolverKind::Iterative if n == 0 => SolverKind::Dense,
+            SolverKind::Sparse if n == 0 => SolverKind::Dense,
             k => k,
         }
     }
@@ -561,24 +538,6 @@ pub fn transient(ckt: &Circuit, opts: &TranOptions) -> Result<TranResult, Circui
                 SparseMatrix::zeros(pattern.clone()),
                 SparseMatrix::zeros(pattern.clone()),
                 BypassSolver::new(SparseSolver::new(pattern)).with_tolerance(eta),
-            );
-            transient_impl(ckt, opts, structure, ws, start)
-        }
-        SolverKind::Iterative => {
-            let pattern = Arc::new(sparse_pattern(ckt, &structure));
-            let gmres = GmresSolver::new(pattern.clone())
-                .map_err(CircuitError::Numerics)?
-                .with_budget(opts.budget.clone());
-            // The bypass certificate is disabled (eta = 0): certifying a
-            // reuse costs a matrix-vector product and up to two refinement
-            // *solves* — for a Krylov backend each refinement is a full
-            // GMRES run, while the ILU rebuild it would save is only
-            // O(nnz). Refactorize-always is strictly cheaper here.
-            let ws = Workspace::new(
-                n,
-                SparseMatrix::zeros(pattern.clone()),
-                SparseMatrix::zeros(pattern),
-                BypassSolver::new(gmres).with_tolerance(0.0),
             );
             transient_impl(ckt, opts, structure, ws, start)
         }
@@ -1178,74 +1137,16 @@ mod tests {
 
     #[test]
     fn auto_solver_resolution() {
-        let xo = SolverKind::ITERATIVE_CROSSOVER;
         assert_eq!(SolverKind::Auto.resolve(3), SolverKind::Dense);
         assert_eq!(SolverKind::Auto.resolve(12), SolverKind::Dense);
         assert_eq!(SolverKind::Auto.resolve(13), SolverKind::Sparse);
         assert_eq!(SolverKind::Auto.resolve(33), SolverKind::Sparse);
-        assert_eq!(SolverKind::Auto.resolve(xo), SolverKind::Sparse);
-        assert_eq!(SolverKind::Auto.resolve(xo + 1), SolverKind::Iterative);
-        assert_eq!(SolverKind::Auto.resolve(10_000), SolverKind::Iterative);
+        assert_eq!(SolverKind::Auto.resolve(384), SolverKind::Sparse);
+        assert_eq!(SolverKind::Auto.resolve(385), SolverKind::Sparse);
+        assert_eq!(SolverKind::Auto.resolve(10_000), SolverKind::Sparse);
         assert_eq!(SolverKind::Sparse.resolve(0), SolverKind::Dense);
-        assert_eq!(SolverKind::Iterative.resolve(0), SolverKind::Dense);
         assert_eq!(SolverKind::Dense.resolve(100), SolverKind::Dense);
         assert_eq!(SolverKind::Sparse.resolve(2), SolverKind::Sparse);
-        assert_eq!(SolverKind::Iterative.resolve(2), SolverKind::Iterative);
-    }
-
-    #[test]
-    fn iterative_backend_is_bit_identical_to_sparse_on_small_systems() {
-        // Below the GMRES solver's direct threshold the iterative backend
-        // runs its embedded sparse LU, so the trajectories must match
-        // bit-for-bit, solver effort included.
-        let (ckt, top, base) = tanh_oscillator();
-        let mut sparse_opts = base.clone();
-        sparse_opts.solver = SolverKind::Sparse;
-        let mut iter_opts = base;
-        iter_opts.solver = SolverKind::Iterative;
-        let rs = transient(&ckt, &sparse_opts).unwrap();
-        let ri = transient(&ckt, &iter_opts).unwrap();
-        assert_eq!(rs.time, ri.time);
-        assert_eq!(
-            rs.node_voltage(top).unwrap(),
-            ri.node_voltage(top).unwrap(),
-            "iterative (direct mode) and sparse transients diverged"
-        );
-        assert_eq!(rs.report.attempts, ri.report.attempts);
-    }
-
-    #[test]
-    fn iterative_backend_krylov_path_tracks_sparse_on_a_large_ladder() {
-        // An RC ladder with enough nodes to clear the GMRES direct
-        // threshold: the Krylov path answers to its residual certificate,
-        // so trajectories agree to solver tolerance rather than bitwise.
-        let sections = 80;
-        let mut ckt = Circuit::new();
-        let mut prev = ckt.node("in");
-        ckt.vsource(prev, 0, SourceWave::sine(1.0, 1e5, 0.0));
-        for i in 0..sections {
-            let next = ckt.node(&format!("n{i}"));
-            ckt.resistor(prev, next, 100.0);
-            ckt.capacitor(next, 0, 1e-9);
-            prev = next;
-        }
-        let mid = ckt.find_node("n40").unwrap();
-        let base = TranOptions::new(1e-7, 3e-5);
-        let mut sparse_opts = base.clone();
-        sparse_opts.solver = SolverKind::Sparse;
-        let mut iter_opts = base;
-        iter_opts.solver = SolverKind::Iterative;
-        let rs = transient(&ckt, &sparse_opts).unwrap();
-        let ri = transient(&ckt, &iter_opts).unwrap();
-        assert_eq!(rs.time, ri.time);
-        for (a, b) in rs
-            .node_voltage(mid)
-            .unwrap()
-            .iter()
-            .zip(ri.node_voltage(mid).unwrap())
-        {
-            assert!((a - b).abs() < 1e-6, "{a} vs {b}");
-        }
     }
 
     #[test]

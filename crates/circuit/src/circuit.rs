@@ -48,10 +48,18 @@ impl Circuit {
 
     /// Creates an empty circuit containing only the ground node.
     pub fn new() -> Self {
+        Self::with_capacity(0, 0)
+    }
+
+    /// Like [`Circuit::new`], with room reserved for `nodes` named nodes
+    /// besides ground and for `devices` devices, so a builder that knows
+    /// its size does not regrow the tables. Node ids and device order are
+    /// the same as with [`Circuit::new`].
+    pub fn with_capacity(nodes: usize, devices: usize) -> Self {
         let mut c = Circuit {
-            devices: Vec::new(),
-            node_names: Vec::new(),
-            name_to_node: HashMap::new(),
+            devices: Vec::with_capacity(devices),
+            node_names: Vec::with_capacity(nodes + 1),
+            name_to_node: HashMap::with_capacity(nodes + 1),
         };
         c.node_names.push("0".to_string());
         c.name_to_node.insert("0".to_string(), 0);

@@ -2,8 +2,8 @@
 //! one MNA system and classify their collective locking behavior.
 //!
 //! The paper analyses *one* oscillator under sub-harmonic injection; the
-//! natural extension (and the regime where the iterative solver tier earns
-//! its keep) is a *network* of N tanks pulling on each other — the
+//! natural extension (and the largest MNA systems in the workspace) is a
+//! *network* of N tanks pulling on each other — the
 //! metronomes-on-a-moving-platform experiment in circuit form. This module
 //! provides:
 //!
@@ -268,7 +268,9 @@ impl NetworkSpec {
         }
         self.coupling.validate()?;
 
-        let mut circuit = Circuit::new();
+        let pairs = self.topology.pairs(self.n);
+        // One node and four devices per oscillator, one device per coupling.
+        let mut circuit = Circuit::with_capacity(self.n, 4 * self.n + pairs.len());
         let mut probes = Vec::with_capacity(self.n);
         let mut inductors = Vec::with_capacity(self.n);
         let mut f_natural = Vec::with_capacity(self.n);
@@ -298,7 +300,6 @@ impl NetworkSpec {
             );
         }
 
-        let pairs = self.topology.pairs(self.n);
         for &(a, b) in &pairs {
             match self.coupling {
                 Coupling::Resistive { ohms } => {
@@ -708,6 +709,57 @@ pub fn coupling_strength_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The circuit `build()` assembles, written out device by device on a
+    /// `Circuit::new()`: node `osc<i>` with its R, L, C and `−tanh`
+    /// element per oscillator, then one coupling per topology pair.
+    fn twin(spec: &NetworkSpec) -> Circuit {
+        let mut c = Circuit::new();
+        let mut inductors = Vec::new();
+        for i in 0..spec.n {
+            let delta = spec.detune(i);
+            let node = c.node(&format!("osc{i}"));
+            c.resistor(node, 0, spec.r_ohms);
+            inductors.push(c.inductor(node, 0, spec.l_henries));
+            c.capacitor(node, 0, spec.c_farads / ((1.0 + delta) * (1.0 + delta)));
+            c.nonlinear(node, 0, IvCurve::tanh(-1e-3, 2.0 / (spec.r_ohms * 1e-3)));
+        }
+        for (a, b) in spec.topology.pairs(spec.n) {
+            match spec.coupling {
+                Coupling::Resistive { ohms } => c.resistor(a + 1, b + 1, ohms),
+                Coupling::Capacitive { farads } => c.capacitor(a + 1, b + 1, farads),
+                Coupling::MutualInductance { k } => c.mutual(inductors[a], inductors[b], k),
+            };
+        }
+        c
+    }
+
+    #[test]
+    fn presized_build_matches_an_incrementally_built_twin() {
+        for spec in [
+            NetworkSpec::new(5, Topology::Ring, Coupling::Resistive { ohms: 2e3 })
+                .with_detuning(vec![-0.003, 0.001, 0.004]),
+            NetworkSpec::new(
+                4,
+                Topology::AllToAll,
+                Coupling::Capacitive { farads: 1e-10 },
+            ),
+            NetworkSpec::new(3, Topology::Chain, Coupling::MutualInductance { k: 0.05 }),
+        ] {
+            let built = spec.build().expect("valid spec").circuit;
+            let twin = twin(&spec);
+            assert_eq!(built.num_nodes(), twin.num_nodes());
+            for id in 0..twin.num_nodes() {
+                assert_eq!(built.node_name(id), twin.node_name(id));
+                assert_eq!(built.find_node(twin.node_name(id)), Some(id));
+            }
+            assert_eq!(
+                format!("{:?}", built.devices()),
+                format!("{:?}", twin.devices()),
+                "{spec:?}"
+            );
+        }
+    }
 
     #[test]
     fn topology_pair_enumeration() {

@@ -1,21 +1,18 @@
 //! Solver-tier identity for coupled-oscillator network lock analysis: the
-//! GMRES + ILU(0) iterative tier must produce the same lock verdicts as
-//! the sparse-LU reference on the same network — the CI-fast version of
-//! the metronome example's acceptance gate.
+//! dense and sparse LU tiers of `SolverKind` must produce bit-identical
+//! waveforms, and therefore the same lock verdicts, on the same network —
+//! the CI-fast version of the metronome example's acceptance gate.
 //!
-//! Two regimes are pinned. Below the iterative tier's direct-solve floor
-//! the embedded LU makes the *waveforms* bit-identical, so everything
-//! downstream agrees trivially; above the floor real restarted-GMRES
-//! iterations decide every Newton step and only the certificate
-//! (`‖b − A·x‖ ≤ rtol·‖b‖`) bounds the difference — the lock verdicts
-//! still may not move.
+//! Both tiers run the same partial-pivot elimination in natural order, so
+//! the identity holds by construction; these tests pin it on rings of 12
+//! and 66 unknowns, on both sides of the synchronization transition.
 
-use shil_circuit::analysis::{SolverKind, TranOptions};
+use shil_circuit::analysis::SolverKind;
 use shil_circuit::mna::MnaStructure;
 use shil_circuit::network::{
     CoupledNetwork, Coupling, NetworkLockOptions, NetworkLockReport, NetworkSpec, Topology,
 };
-use shil_numerics::iterative::GmresSolver;
+use shil_circuit::TranResult;
 use shil_waveform::lock::LockOptions;
 
 /// Windows sized for the short CI transients (6 × 7 periods inside a
@@ -38,14 +35,14 @@ fn detuned_ring(n: usize, spread: f64, ohms: f64) -> NetworkSpec {
     NetworkSpec::new(n, Topology::Ring, Coupling::Resistive { ohms }).with_detuning(detuning)
 }
 
-fn run(net: &CoupledNetwork, solver: SolverKind) -> (TranOptions, NetworkLockReport) {
+fn run(net: &CoupledNetwork, solver: SolverKind) -> (TranResult, NetworkLockReport) {
     let mut opts = net.transient_options(120.0, 48.0, 48);
     opts.solver = solver;
     let result = net.simulate(&opts).expect("transient");
     let report = net
         .probe_lock(&result, &short_lock_options())
         .expect("lock analysis");
-    (opts, report)
+    (result, report)
 }
 
 fn assert_verdicts_identical(tag: &str, a: &NetworkLockReport, b: &NetworkLockReport) {
@@ -68,56 +65,46 @@ fn assert_verdicts_identical(tag: &str, a: &NetworkLockReport, b: &NetworkLockRe
     }
 }
 
-/// Below the direct-solve floor the iterative tier routes through its
-/// embedded exact LU: waveforms — and therefore verdicts — bit-identical.
-#[test]
-fn network_small_ring_iterative_is_bit_identical_to_sparse() {
-    let net = detuned_ring(6, 0.005, 2e3).build().expect("build");
-    let unknowns = MnaStructure::new(&net.circuit).size();
-    assert!(
-        unknowns < GmresSolver::DIRECT_BELOW_DIM,
-        "{unknowns} unknowns should sit below the direct floor"
-    );
-    let mut sp_opts = net.transient_options(120.0, 48.0, 48);
-    sp_opts.solver = SolverKind::Sparse;
-    let mut it_opts = sp_opts.clone();
-    it_opts.solver = SolverKind::Iterative;
-    let sp = net.simulate(&sp_opts).expect("sparse transient");
-    let it = net.simulate(&it_opts).expect("iterative transient");
+fn assert_waveforms_identical(tag: &str, net: &CoupledNetwork, a: &TranResult, b: &TranResult) {
+    assert_eq!(a.time, b.time, "{tag}: time axes");
     for &probe in &net.probes {
         assert_eq!(
-            sp.node_voltage(probe).unwrap(),
-            it.node_voltage(probe).unwrap(),
-            "waveform at node {probe} must be bit-identical below the direct floor"
+            a.node_voltage(probe).unwrap(),
+            b.node_voltage(probe).unwrap(),
+            "{tag}: waveform at node {probe}"
         );
     }
-    assert_verdicts_identical(
-        "6-ring",
-        &net.probe_lock(&sp, &short_lock_options()).unwrap(),
-        &net.probe_lock(&it, &short_lock_options()).unwrap(),
-    );
 }
 
-/// Above the floor real GMRES iterations serve the Newton steps; the lock
-/// verdicts must not move, on either side of the synchronization
+/// The 6-ring (12 unknowns) sits on the dense side of `Auto`'s rung.
+#[test]
+fn network_small_ring_dense_is_bit_identical_to_sparse() {
+    let net = detuned_ring(6, 0.005, 2e3).build().expect("build");
+    assert_eq!(MnaStructure::new(&net.circuit).size(), 12);
+    let (dense_wave, dense) = run(&net, SolverKind::Dense);
+    let (sparse_wave, sparse) = run(&net, SolverKind::Sparse);
+    assert_waveforms_identical("6-ring", &net, &dense_wave, &sparse_wave);
+    assert_verdicts_identical("6-ring", &dense, &sparse);
+}
+
+/// The 33-ring (66 unknowns) sits on the sparse side; the waveforms and
+/// the lock verdicts must not move, on either side of the synchronization
 /// transition.
 #[test]
 fn network_large_ring_verdicts_match_across_solver_tiers() {
     for (ohms, expect_lock) in [(2e2, true), (3e5, false)] {
         let net = detuned_ring(33, 0.003, ohms).build().expect("build");
-        let unknowns = MnaStructure::new(&net.circuit).size();
-        assert!(
-            unknowns >= GmresSolver::DIRECT_BELOW_DIM,
-            "{unknowns} unknowns should exercise real GMRES"
-        );
-        let (_, sp) = run(&net, SolverKind::Sparse);
-        let (_, it) = run(&net, SolverKind::Iterative);
+        assert_eq!(MnaStructure::new(&net.circuit).size(), 66);
+        let tag = format!("33-ring at R_c = {ohms}");
+        let (dense_wave, dense) = run(&net, SolverKind::Dense);
+        let (sparse_wave, sparse) = run(&net, SolverKind::Sparse);
         assert_eq!(
-            sp.mutual_lock,
+            sparse.mutual_lock,
             expect_lock,
             "sparse reference at R_c = {ohms} should {} lock",
             if expect_lock { "" } else { "not" }
         );
-        assert_verdicts_identical(&format!("33-ring at R_c = {ohms}"), &sp, &it);
+        assert_waveforms_identical(&tag, &net, &dense_wave, &sparse_wave);
+        assert_verdicts_identical(&tag, &dense, &sparse);
     }
 }

@@ -25,10 +25,7 @@
 //!   dense LU and a factorization-bypass wrapper with iterative-refinement
 //!   certification.
 //! - [`sparse`] — CSR matrices with symbolic-analysis reuse
-//!   ([`sparse::SparsePattern`]) and a fill-reducing ordering.
-//! - [`iterative`] — restarted GMRES(m) with an ILU(0) preconditioner over
-//!   the same CSR pattern: the large-N [`solver::LinearSolver`] tier, with
-//!   certified solves and exact-LU fallback.
+//!   ([`sparse::SparsePattern`]) and the natural-order sparse LU.
 //! - [`parallel`] — deterministic scoped-thread fan-out
 //!   ([`parallel::ordered_map`]).
 //!
@@ -51,7 +48,6 @@ pub mod fallback;
 pub mod fft;
 pub mod grid;
 pub mod interp;
-pub mod iterative;
 pub mod linalg;
 pub mod newton;
 pub mod parallel;

@@ -16,10 +16,12 @@
 //!   storage. Elimination mirrors the dense partial-pivot kernel exactly
 //!   while skipping exact-zero multiplier updates, so in natural ordering
 //!   its results agree with the dense path under `==` (pivot order is
-//!   identical; see [`factorize_dense_in_place`]). A Markowitz-style
-//!   min-degree ordering ([`min_degree_order`]) is available opt-in via
-//!   [`SparseSolver::with_min_degree`] for larger systems, at the cost of a
-//!   different (but equally valid) pivot sequence.
+//!   identical; see [`factorize_dense_in_place`]). The solver keeps the
+//!   natural ordering at every size: on a 512-unknown coupled-ring
+//!   Jacobian a min-degree permutation solved slower (6.9 vs 6.1–6.6 µs)
+//!   and refactorized only ~10% faster (1.28 vs 1.40–1.48 ms), while the
+//!   bypass certificate serves over 99.9% of a ring's Newton iterations
+//!   with a solve alone.
 
 use std::sync::Arc;
 
@@ -223,16 +225,6 @@ impl SparseMatrix {
     pub fn values(&self) -> &[f64] {
         &self.values
     }
-
-    /// Mutable raw slot values in CSR order.
-    ///
-    /// Callers that know the slot of a position up front (e.g. a recorded
-    /// stamp schedule) can accumulate directly, skipping the per-stamp
-    /// [`slot`](SparsePattern::slot) scan. Writing through this view is
-    /// numerically identical to [`Stamp::add_at`] on the same slots.
-    pub fn values_mut(&mut self) -> &mut [f64] {
-        &mut self.values
-    }
 }
 
 impl Stamp for SparseMatrix {
@@ -279,74 +271,24 @@ impl Stamp for SparseMatrix {
     }
 }
 
-/// Greedy minimum-degree elimination ordering (AMD-lite / Markowitz for
-/// symmetric structure): repeatedly eliminate the vertex of smallest degree
-/// in the symmetrized adjacency graph, adding clique fill between its
-/// neighbours. Ties break toward the smallest index, so the ordering is
-/// deterministic.
-///
-/// Returns `order` with `order[k]` = the original index eliminated `k`-th.
-pub fn min_degree_order(pattern: &SparsePattern) -> Vec<usize> {
-    use std::collections::BTreeSet;
-    let n = pattern.dim();
-    let mut adj: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
-    for i in 0..n {
-        for (j, _) in pattern.row(i) {
-            if i != j {
-                adj[i].insert(j);
-                adj[j].insert(i);
-            }
-        }
-    }
-    let mut eliminated = vec![false; n];
-    let mut order = Vec::with_capacity(n);
-    for _ in 0..n {
-        let v = (0..n)
-            .filter(|&i| !eliminated[i])
-            .min_by_key(|&i| (adj[i].len(), i))
-            .expect("vertices remain");
-        let neighbours: Vec<usize> = adj[v].iter().copied().collect();
-        for &a in &neighbours {
-            adj[a].remove(&v);
-        }
-        for (ai, &a) in neighbours.iter().enumerate() {
-            for &b in &neighbours[ai + 1..] {
-                adj[a].insert(b);
-                adj[b].insert(a);
-            }
-        }
-        eliminated[v] = true;
-        adj[v].clear();
-        order.push(v);
-    }
-    order
-}
-
 /// Sparse-aware LU with symbolic reuse: the [`LinearSolver`] for MNA-sized
 /// systems.
 ///
 /// Numeric refactorization scatters the CSR values into a preallocated
 /// working buffer and runs the shared partial-pivot elimination with
 /// exact-zero multiplier skipping — zero heap allocation per refactorize.
-/// In the default natural ordering the pivot sequence is identical to the
-/// dense solver's, so sparse and dense paths agree under `==`; with
-/// [`with_min_degree`](Self::with_min_degree) the system is symmetrically
-/// permuted to reduce fill before elimination (results then agree to
-/// rounding, not bitwise).
+/// The natural ordering keeps the pivot sequence identical to the dense
+/// solver's, so sparse and dense paths agree under `==`.
 #[derive(Debug, Clone)]
 pub struct SparseSolver {
     pattern: Arc<SparsePattern>,
     /// Dense row-major working buffer for the factor (fill-in lands here
-    /// without any symbolic bookkeeping; at MNA sizes the `O(n²)` storage
-    /// is a few kilobytes).
+    /// without any symbolic bookkeeping). The `O(n²)` storage is a few
+    /// kilobytes at the paper's scale and 2 MB for a 512-unknown ring; only
+    /// refactorization touches it.
     lu: Vec<f64>,
     perm: Vec<usize>,
     scratch: Vec<f64>,
-    /// Optional fill-reducing ordering: `(order, inverse)` with
-    /// `inverse[order[k]] = k`.
-    ordering: Option<(Vec<usize>, Vec<usize>)>,
-    /// Second scratch used only by the ordered solve path.
-    scratch2: Vec<f64>,
     /// Nonzero entries of the factored buffer, rebuilt after each
     /// factorization so the hot solves never touch the `O(n²)` buffer.
     compressed: CompressedLu,
@@ -462,29 +404,9 @@ impl SparseSolver {
             lu: vec![0.0; n * n],
             perm: (0..n).collect(),
             scratch: vec![0.0; n],
-            ordering: None,
-            scratch2: vec![0.0; n],
             compressed: CompressedLu::with_dim(n),
             factorized: false,
         }
-    }
-
-    /// A solver over `pattern` with the [`min_degree_order`] fill-reducing
-    /// permutation applied symmetrically before elimination.
-    pub fn with_min_degree(pattern: Arc<SparsePattern>) -> Self {
-        let order = min_degree_order(&pattern);
-        let mut inverse = vec![0usize; order.len()];
-        for (k, &v) in order.iter().enumerate() {
-            inverse[v] = k;
-        }
-        let mut solver = Self::new(pattern);
-        solver.ordering = Some((order, inverse));
-        solver
-    }
-
-    /// The fill-reducing ordering in use, if any.
-    pub fn ordering(&self) -> Option<&[usize]> {
-        self.ordering.as_ref().map(|(o, _)| o.as_slice())
     }
 }
 
@@ -507,20 +429,9 @@ impl LinearSolver for SparseSolver {
         // the structural positions.
         reject_non_finite(a, "sparse jacobian")?;
         self.lu.fill(0.0);
-        match &self.ordering {
-            None => {
-                for i in 0..n {
-                    for (j, s) in self.pattern.row(i) {
-                        self.lu[i * n + j] = a.values()[s];
-                    }
-                }
-            }
-            Some((_, inverse)) => {
-                for i in 0..n {
-                    for (j, s) in self.pattern.row(i) {
-                        self.lu[inverse[i] * n + inverse[j]] = a.values()[s];
-                    }
-                }
+        for i in 0..n {
+            for (j, s) in self.pattern.row(i) {
+                self.lu[i * n + j] = a.values()[s];
             }
         }
         factorize_dense_in_place(&mut self.lu, n, &mut self.perm)?;
@@ -533,22 +444,7 @@ impl LinearSolver for SparseSolver {
         assert!(self.factorized, "solve_in_place before refactorize");
         let n = self.pattern.dim();
         assert_eq!(x.len(), n, "rhs length mismatch");
-        match &self.ordering {
-            None => {
-                self.compressed.solve(n, &self.perm, &mut self.scratch, x);
-            }
-            Some((order, inverse)) => {
-                // Solve (P A Pᵀ)·z = P·b, then x = Pᵀ·z.
-                for i in 0..n {
-                    self.scratch2[inverse[i]] = x[i];
-                }
-                self.compressed
-                    .solve(n, &self.perm, &mut self.scratch, &mut self.scratch2);
-                for (k, &v) in order.iter().enumerate() {
-                    x[v] = self.scratch2[k];
-                }
-            }
-        }
+        self.compressed.solve(n, &self.perm, &mut self.scratch, x);
     }
 
     fn is_factorized(&self) -> bool {
@@ -715,37 +611,6 @@ mod tests {
                 assert!(context.contains("(1, 2)"), "{context}");
             }
             other => panic!("expected NonFinite, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn min_degree_order_is_a_permutation() {
-        let pattern = mna_like_pattern(9);
-        let order = min_degree_order(&pattern);
-        let mut seen = [false; 9];
-        for &v in &order {
-            assert!(!seen[v], "duplicate vertex {v}");
-            seen[v] = true;
-        }
-        assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn min_degree_solver_is_accurate() {
-        let pattern = Arc::new(mna_like_pattern(10));
-        let order_len = min_degree_order(&pattern).len();
-        assert_eq!(order_len, 10);
-        let (sparse, dense) = fill_pair(&pattern, 77);
-        let b: Vec<f64> = (0..10).map(|i| (i as f64 - 4.5) * 0.3).collect();
-        let mut s = SparseSolver::with_min_degree(pattern);
-        assert!(s.ordering().is_some());
-        s.refactorize(&sparse).unwrap();
-        let mut x = b.clone();
-        s.solve_in_place(&mut x);
-        // Different pivot sequence ⇒ compare by residual, not bitwise.
-        let r = dense.mul_vec(&x);
-        for (ri, bi) in r.iter().zip(&b) {
-            assert!((ri - bi).abs() < 1e-10, "{ri} vs {bi}");
         }
     }
 

@@ -15,12 +15,11 @@
 //! classifies every point with the network lock analyzer
 //! (`probe_network_lock`: per-oscillator windowed phase drift against the
 //! consensus frequency, then pairwise relative-phase drift), and asserts
-//! both verdicts appear. It then repeats representative points — including
-//! a ring large enough that the MNA system exceeds the GMRES tier's
-//! direct-solve floor — under `SolverKind::Iterative` (GMRES + ILU(0))
-//! and `SolverKind::Sparse` (sparse LU) and asserts the two solver tiers
-//! produce *zero* lock-verdict differences: same mutual verdict, same
-//! locked fraction, same per-pair classification at every point.
+//! both verdicts appear. It then repeats representative points — on the
+//! 8-ring and on a ring of 36–48 oscillators — under `SolverKind::Dense`
+//! and `SolverKind::Sparse` and asserts the two solver tiers produce
+//! *zero* lock-verdict differences: same mutual verdict, same locked
+//! fraction, same per-pair classification at every point.
 //!
 //! Run with: `cargo run --release --example metronome_network`
 //!
@@ -37,7 +36,6 @@ use shil::circuit::mna::MnaStructure;
 use shil::circuit::network::{
     coupling_strength_sweep, Coupling, NetworkLockOptions, NetworkLockReport, NetworkSpec, Topology,
 };
-use shil::numerics::iterative::GmresSolver;
 use shil::waveform::lock::LockOptions;
 
 /// Lock options sized so the analysis windows fit the recorded tail even
@@ -194,11 +192,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          the metronome transition"
     );
 
-    // Solver-tier cross-check on the 8-ring: GMRES+ILU(0) vs sparse LU
-    // must agree on every verdict at every swept strength. At this size
-    // the iterative tier serves the solves through its small-system
-    // direct path, so agreement is exact by construction — the check
-    // pins the dispatch plumbing.
+    // Solver-tier cross-check on the 8-ring: dense vs sparse LU must agree
+    // on every verdict at every swept strength. Both run the same
+    // elimination in natural order, so agreement is exact by construction
+    // — the check pins the dispatch plumbing.
     let window = TranWindow {
         settle,
         record,
@@ -212,27 +209,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &window,
         &lock_opts,
     );
-    let iterative = sweep_with_solver(
+    let dense = sweep_with_solver(
         &base,
         &strengths,
         &engine,
-        SolverKind::Iterative,
+        SolverKind::Dense,
         &window,
         &lock_opts,
     );
-    for ((strength, sp), it) in strengths.iter().zip(&sparse).zip(&iterative) {
-        assert_same_verdicts(&format!("8-ring, R_c = {strength}"), sp, it);
+    for ((strength, sp), de) in strengths.iter().zip(&sparse).zip(&dense) {
+        assert_same_verdicts(&format!("8-ring, R_c = {strength}"), sp, de);
     }
     say!(
         "solver cross-check (N = {n}): zero lock-verdict differences between \
-         GMRES+ILU(0) and sparse LU across {} strengths",
+         dense and sparse LU across {} strengths",
         strengths.len()
     );
 
-    // The same cross-check on a ring big enough that the MNA system
-    // clears the GMRES tier's direct-solve floor, so true restarted
-    // GMRES iterations decide every Newton step. One strength on each
-    // side of the transition keeps the runtime honest.
+    // The same cross-check on a larger ring, one strength on each side of
+    // the transition.
     let big_n = if quick { 36 } else { 48 };
     let big_detuning: Vec<f64> = (0..big_n)
         .map(|i| -0.003 + 0.006 * i as f64 / (big_n - 1) as f64)
@@ -240,10 +235,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let big = NetworkSpec::new(big_n, Topology::Ring, Coupling::Resistive { ohms: 1e3 })
         .with_detuning(big_detuning);
     let unknowns = MnaStructure::new(&big.build()?.circuit).size();
-    assert!(
-        unknowns >= GmresSolver::DIRECT_BELOW_DIM,
-        "cross-check ring too small to exercise GMRES ({unknowns} unknowns)"
-    );
     let big_strengths = [5e2, 2e5];
     let (big_settle, big_record) = if quick { (80.0, 48.0) } else { (120.0, 60.0) };
     let big_lock = lock_options(big_record);
@@ -260,21 +251,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &big_window,
         &big_lock,
     );
-    let iterative = sweep_with_solver(
+    let dense = sweep_with_solver(
         &big,
         &big_strengths,
         &engine,
-        SolverKind::Iterative,
+        SolverKind::Dense,
         &big_window,
         &big_lock,
     );
-    for ((strength, sp), it) in big_strengths.iter().zip(&sparse).zip(&iterative) {
-        assert_same_verdicts(&format!("{big_n}-ring, R_c = {strength}"), sp, it);
+    for ((strength, sp), de) in big_strengths.iter().zip(&sparse).zip(&dense) {
+        assert_same_verdicts(&format!("{big_n}-ring, R_c = {strength}"), sp, de);
     }
     say!(
-        "solver cross-check (N = {big_n}, {unknowns} unknowns — above the GMRES \
-         direct-solve floor of {}): zero lock-verdict differences at R_c = {:?}",
-        GmresSolver::DIRECT_BELOW_DIM,
+        "solver cross-check (N = {big_n}, {unknowns} unknowns): zero lock-verdict \
+         differences between dense and sparse LU at R_c = {:?}",
         big_strengths
     );
 

@@ -49,7 +49,7 @@
 //! shil-cli network [--n <count>] [--topology chain|ring|star|all-to-all]
 //!          [--coupling resistive|capacitive|mutual] --strength <v[,v...]>
 //!          [--detune <d[,d...]>] [--settle <periods>] [--record <periods>]
-//!          [--ppp <samples>] [--solver auto|dense|sparse|iterative]
+//!          [--ppp <samples>] [--solver auto|dense|sparse]
 //!          [--threads <n>] [--csv out.csv]
 //! ```
 //!
@@ -62,9 +62,9 @@
 //! analyzed at `--ppp` samples per period) and reports the network lock
 //! classification: per-oscillator lock against the consensus frequency,
 //! pairwise relative-phase stationarity, and the mutual-lock verdict.
-//! `--solver` forces the transient's linear-solver tier (the three-tier
-//! `auto` ladder is the default) — CI uses this to check that the
-//! iterative GMRES+ILU tier produces the same verdicts as sparse LU.
+//! `--solver` forces the transient's linear-solver tier (the two-tier
+//! `auto` ladder, dense LU up to 12 unknowns and sparse LU above, is the
+//! default); both tiers give bit-identical waveforms.
 //!
 //! ```text
 //! shil-cli serve [--addr <ip:port>] [--data-dir <dir>] [--queue <n>]
@@ -123,7 +123,7 @@ fn usage() -> ExitCode {
          [--n <count>] [--topology chain|ring|star|all-to-all] \
          [--coupling resistive|capacitive|mutual] --strength <v[,v...]> [--detune <d[,d...]>] \
          [--settle <periods>] [--record <periods>] [--ppp <samples>] \
-         [--solver auto|dense|sparse|iterative] [--threads <n>] [--csv <out>]\n  shil-cli serve \
+         [--solver auto|dense|sparse] [--threads <n>] [--csv <out>]\n  shil-cli serve \
          [--addr <ip:port>] [--data-dir <dir>] [--queue <n>] [--workers <n>] \
          [--http-threads <n>] [--cache <entries>] [--max-body <bytes>] [--grace <s>] \
          [--sweep-threads <n>] [--quarantine-after <n>] [--allow-chaos] \
@@ -945,10 +945,9 @@ fn network_cmd(rest: &[String], log: &EventLog) -> ExitCode {
         None | Some("auto") => SolverKind::Auto,
         Some("dense") => SolverKind::Dense,
         Some("sparse") => SolverKind::Sparse,
-        Some("iterative") => SolverKind::Iterative,
         Some(other) => {
             log.error("unknown_solver", &[("solver", other.into())]);
-            return ExitCode::from(2);
+            return usage();
         }
     };
     let base = NetworkSpec::new(count, topology, coupling).with_detuning(detuning);

@@ -56,3 +56,12 @@ fn listed_and_global_flags_pass_the_check() {
     let (code, stderr) = run(&known);
     assert_eq!(code, Some(1), "{stderr}");
 }
+
+#[test]
+fn iterative_solver_is_a_usage_error() {
+    // `--solver` takes only `auto`, `dense` and `sparse`.
+    let (code, stderr) = run(&["network", "--strength", "2e3", "--solver", "iterative"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("usage:"), "{stderr}");
+    assert!(stderr.contains("--solver auto|dense|sparse]"), "{stderr}");
+}
